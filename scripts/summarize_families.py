@@ -14,8 +14,7 @@ import sys
 
 from pipedual.antidiagonals import antidiagonal_family
 from pipedual.permutations import all_permutations
-from pipedual.pipedreams import enumerate_rp
-from pipedual.schubert import schubert_polynomial
+from pipedual.schubert import schubert_polynomial, specialize_all_ones
 
 
 def main() -> int:
@@ -28,7 +27,8 @@ def main() -> int:
         max_rp = max_ad = max_coeff = 0
         arg_rp = arg_ad = arg_coeff = None
         for w in all_permutations(n):
-            rp = len(enumerate_rp(w))
+            poly = schubert_polynomial(w)
+            rp = specialize_all_ones(poly)  # the coefficient sum is |RP(w)|
             ad = len(antidiagonal_family(w))
             total_rp += rp
             total_ad += ad
@@ -36,7 +36,7 @@ def main() -> int:
                 max_rp, arg_rp = rp, w
             if ad > max_ad:
                 max_ad, arg_ad = ad, w
-            coeff = max((c for _, c in schubert_polynomial(w).terms), default=0)
+            coeff = max((c for _, c in poly.terms), default=0)
             if coeff > max_coeff:
                 max_coeff, arg_coeff = coeff, w
         print(f"n={n}")

@@ -12,7 +12,6 @@ ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .grid import Box
@@ -64,7 +63,6 @@ def antidiagonals_in_rectangle(p: int, q: int, size: int) -> Iterator[Antidiagon
         yield Antidiagonal(boxes)
 
 
-@lru_cache(maxsize=None)
 def antidiagonal_family(w: Permutation) -> SetFamily:
     """The inclusion-minimal antidiagonals of w, canonically ordered.
 

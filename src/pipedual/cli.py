@@ -17,6 +17,7 @@ all completed permutations passing.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -150,14 +151,26 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("PD_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
+def _budget_seconds(text: str) -> float:
+    try:
+        value = float(text)
+        if math.isfinite(value) and value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be a finite, non-negative number of seconds, got {text!r}"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,14 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=int, required=True)
     verify.add_argument(
         "--budget",
-        type=float,
+        type=_budget_seconds,
         default=600.0,
         help="time budget in seconds (default 600)",
     )
     verify.add_argument(
         "--jobs",
-        type=int,
-        default=_default_jobs(),
+        type=_positive_int,
+        default=os.environ.get("PD_JOBS") or "1",
         help="worker processes (default $PD_JOBS or 1)",
     )
     verify.add_argument("--format", choices=("text", "json"), default="text")

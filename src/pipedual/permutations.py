@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 
@@ -107,7 +106,6 @@ class RankMatrix:
         return self.entries[p - 1][q - 1]
 
 
-@lru_cache(maxsize=None)
 def rank_matrix(w: Permutation) -> RankMatrix:
     """The full rank table of w, computed once by 2-D prefix sums."""
     n = w.n

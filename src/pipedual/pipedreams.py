@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .grid import Box, staircase_boxes
 from .permutations import Permutation, length
@@ -120,7 +119,6 @@ def is_reduced(dream: PipeDream) -> bool:
     return all(pair.crossings <= 1 for pair in crossing_counts(dream))
 
 
-@lru_cache(maxsize=None)
 def enumerate_rp(w: Permutation) -> SetFamily:
     """All reduced pipe dreams tracing to w, as a canonical family.
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .grid import Box
@@ -106,10 +105,11 @@ def minimalize(family: SetFamily) -> SetFamily:
     return SetFamily.from_sets(family.n, (_unpack(family.n, m) for m in kept))
 
 
-@lru_cache(maxsize=None)
-def _berge_dual(family: SetFamily) -> tuple[SetFamily, SetFamily]:
-    """(minimal transversals, non-minimal transversals seen in the last
-    round of Berge multiplication)."""
+def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
+    """The transversal dual of the family, and the non-minimal transversals
+    of the full family that the final multiplication round produced and
+    discarded.  The second family is diagnostic; it is not part of any
+    identity."""
     n = family.n
     members = sorted((_pack(n, m) for m in family.members),
                      key=lambda m: m.bit_count())
@@ -158,15 +158,7 @@ def transversal_dual(family: SetFamily) -> SetFamily:
     The dual of the empty family is the family containing only the empty
     set; a family containing the empty set has no transversals at all.
     """
-    return _berge_dual(family)[0]
-
-
-def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
-    """Like :func:`transversal_dual`, but also report the non-minimal
-    transversals of the full family that the final multiplication round
-    produced and discarded.  Diagnostic only; the second family is not
-    part of any identity."""
-    return _berge_dual(family)
+    return dual_with_nonminimal(family)[0]
 
 
 def family_to_json_obj(family: SetFamily) -> dict:

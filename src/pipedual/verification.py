@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from math import factorial
 
 from .antidiagonals import antidiagonal_family
@@ -60,6 +62,10 @@ ALL_CHECKS = (
 )
 
 BRUHAT_ORACLE_MAX_N = 5
+
+# permutations per worker task in a parallel sweep: small, so that a spent
+# budget stops the sweep within about one chunk's time
+CHUNK_SIZE = 2
 
 
 @dataclass
@@ -106,41 +112,95 @@ def _difference_family(left: SetFamily, right: SetFamily) -> SetFamily:
     return SetFamily.from_sets(left.n, members)
 
 
+def _result_from_offenders(n: int, offenders: list) -> CheckResult:
+    if not offenders:
+        return CheckResult(True)
+    return CheckResult(False, SetFamily.from_sets(n, offenders))
+
+
+def _check_transversality(rp: SetFamily, ad: SetFamily) -> CheckResult:
+    return _result_from_offenders(
+        rp.n, [member for member in rp.members if not is_transversal(member, ad)]
+    )
+
+
+def _as_reduced_dream(n: int, member) -> PipeDream | None:
+    try:
+        dream = PipeDream(n, frozenset(member))
+    except ValueError:
+        return None
+    return dream if is_reduced(dream) else None
+
+
+def _check_dual_reducedness(w: Permutation, dual_ad: SetFamily) -> CheckResult:
+    offenders = []
+    for member in dual_ad.members:
+        dream = _as_reduced_dream(w.n, member)
+        if dream is None or not bruhat_geq(trace(dream), w):
+            offenders.append(member)
+    return _result_from_offenders(w.n, offenders)
+
+
+def _nonminimal_stats(rejected: SetFamily) -> dict[str, int]:
+    return {
+        "nonminimal_transversals_seen": len(rejected),
+        "reduced_nonminimal_transversals": sum(
+            1
+            for member in rejected.members
+            if _as_reduced_dream(rejected.n, member) is not None
+        ),
+    }
+
+
+def _check_rank_antidiagonal(w: Permutation, rp: SetFamily) -> CheckResult:
+    rm = rank_matrix(w)
+    for member in rp.members:
+        dream = PipeDream(w.n, frozenset(member))
+        for p in range(1, w.n + 1):
+            for q in range(1, w.n + 1):
+                if max_elbow_antidiagonal(dream, p, q) != rm.entry(p, q):
+                    witness = SetFamily.from_sets(w.n, [member, [(p, q)]])
+                    return CheckResult(False, witness)
+    return CheckResult(True)
+
+
+def _check_double_dual(ad: SetFamily, twice: SetFamily) -> CheckResult:
+    if twice == ad:
+        return CheckResult(True)
+    return CheckResult(False, _difference_family(twice, ad))
+
+
+def _check_duality(
+    rp: SetFamily, ad: SetFamily, dual_ad: SetFamily, dual_rp: SetFamily
+) -> CheckResult:
+    if dual_ad != rp:
+        return CheckResult(False, _difference_family(dual_ad, rp))
+    if dual_rp != ad:
+        return CheckResult(False, _difference_family(dual_rp, ad))
+    return CheckResult(True)
+
+
+def _off_staircase_stats(ad: SetFamily) -> dict[str, int]:
+    return {
+        "antidiagonals_off_staircase": sum(
+            1 for member in ad.members if any(r + c > ad.n for (r, c) in member)
+        )
+    }
+
+
 def verify_theorem(w: Permutation) -> VerificationReport:
     """Check that dualizing the antidiagonal family yields the reduced
     pipe dreams, and dualizing those yields the family back."""
     rp = enumerate_rp(w)
     ad = antidiagonal_family(w)
-    dual_ad = transversal_dual(ad)
-    dual_rp = transversal_dual(rp)
-    ok = dual_ad == rp and dual_rp == ad
-    counterexample = None
-    if not ok:
-        counterexample = _difference_family(
-            dual_ad if dual_ad != rp else dual_rp, rp if dual_ad != rp else ad
-        )
-    off_staircase = sum(
-        1 for member in ad.members if any(r + c > w.n for (r, c) in member)
-    )
-    return VerificationReport(
-        permutation=w,
-        checks={CHECK_DUALITY: CheckResult(ok, counterexample)},
-        stats={"antidiagonals_off_staircase": off_staircase},
-    )
+    result = _check_duality(rp, ad, transversal_dual(ad), transversal_dual(rp))
+    return VerificationReport(w, {CHECK_DUALITY: result}, _off_staircase_stats(ad))
 
 
 def verify_claim1(w: Permutation) -> VerificationReport:
     """Check that every reduced pipe dream of w meets every member of the
     antidiagonal family of w."""
-    ad = antidiagonal_family(w)
-    offenders = [
-        member for member in enumerate_rp(w).members if not is_transversal(member, ad)
-    ]
-    result = (
-        CheckResult(True)
-        if not offenders
-        else CheckResult(False, SetFamily.from_sets(w.n, offenders))
-    )
+    result = _check_transversality(enumerate_rp(w), antidiagonal_family(w))
     return VerificationReport(w, {CHECK_TRANSVERSALITY: result})
 
 
@@ -153,36 +213,11 @@ def verify_claim2(w: Permutation) -> VerificationReport:
     round discarded, and how many of those were reduced pipe dreams; the
     counts are observations, not assertions.
     """
-    dual, nonminimal = dual_with_nonminimal(antidiagonal_family(w))
-    offenders = []
-    for member in dual.members:
-        try:
-            dream = PipeDream(w.n, frozenset(member))
-        except ValueError:
-            offenders.append(member)
-            continue
-        if not (is_reduced(dream) and bruhat_geq(trace(dream), w)):
-            offenders.append(member)
-    reduced_nonminimal = 0
-    for member in nonminimal.members:
-        try:
-            dream = PipeDream(w.n, frozenset(member))
-        except ValueError:
-            continue
-        if is_reduced(dream):
-            reduced_nonminimal += 1
-    result = (
-        CheckResult(True)
-        if not offenders
-        else CheckResult(False, SetFamily.from_sets(w.n, offenders))
-    )
+    dual_ad, rejected = dual_with_nonminimal(antidiagonal_family(w))
     return VerificationReport(
         w,
-        {CHECK_DUAL_REDUCEDNESS: result},
-        stats={
-            "nonminimal_transversals_seen": len(nonminimal),
-            "reduced_nonminimal_transversals": reduced_nonminimal,
-        },
+        {CHECK_DUAL_REDUCEDNESS: _check_dual_reducedness(w, dual_ad)},
+        _nonminimal_stats(rejected),
     )
 
 
@@ -212,29 +247,16 @@ def max_elbow_antidiagonal(dream: PipeDream, p: int, q: int) -> int:
 def verify_rank_antidiagonal_law(w: Permutation) -> VerificationReport:
     """Check that for every reduced pipe dream of w and every rectangle,
     the largest crossing-free antidiagonal has size exactly the rank."""
-    rm = rank_matrix(w)
-    for member in enumerate_rp(w).members:
-        dream = PipeDream(w.n, frozenset(member))
-        for p in range(1, w.n + 1):
-            for q in range(1, w.n + 1):
-                if max_elbow_antidiagonal(dream, p, q) != rm.entry(p, q):
-                    witness = SetFamily.from_sets(w.n, [member, [(p, q)]])
-                    return VerificationReport(
-                        w, {CHECK_RANK_ANTIDIAGONAL: CheckResult(False, witness)}
-                    )
-    return VerificationReport(w, {CHECK_RANK_ANTIDIAGONAL: CheckResult(True)})
+    return VerificationReport(
+        w, {CHECK_RANK_ANTIDIAGONAL: _check_rank_antidiagonal(w, enumerate_rp(w))}
+    )
 
 
 def verify_double_dual(w: Permutation) -> VerificationReport:
     """Check that dualizing twice returns the antidiagonal family."""
     ad = antidiagonal_family(w)
     twice = transversal_dual(transversal_dual(ad))
-    result = (
-        CheckResult(True)
-        if twice == ad
-        else CheckResult(False, _difference_family(twice, ad))
-    )
-    return VerificationReport(w, {CHECK_DOUBLE_DUAL: result})
+    return VerificationReport(w, {CHECK_DOUBLE_DUAL: _check_double_dual(ad, twice)})
 
 
 def _permutation_matrix_boxes(w: Permutation) -> list[tuple[int, int]]:
@@ -279,25 +301,28 @@ def verify_bruhat_oracle(n: int) -> VerificationReport:
 
 
 def verify_permutation(w: Permutation) -> VerificationReport:
-    """Run every per-permutation check, supporting claims first, and merge
-    the results into a single report."""
-    parts = [
-        verify_claim1(w),
-        verify_claim2(w),
-        verify_rank_antidiagonal_law(w),
-        verify_double_dual(w),
-        verify_theorem(w),
-    ]
-    checks: dict[str, CheckResult] = {}
-    stats: dict[str, int] = {}
-    for part in parts:
-        checks.update(part.checks)
-        stats.update(part.stats)
-    return VerificationReport(w, checks, stats)
+    """Run every per-permutation check, supporting claims first, in one
+    pass: RP(w), AD(w) and their duals are each computed once."""
+    rp = enumerate_rp(w)
+    ad = antidiagonal_family(w)
+    dual_ad, rejected = dual_with_nonminimal(ad)
+    dual_rp = transversal_dual(rp)
+    # dual(AD) == RP makes dual(dual(AD)) exactly dual(RP)
+    twice = dual_rp if dual_ad == rp else transversal_dual(dual_ad)
+    checks = {
+        CHECK_TRANSVERSALITY: _check_transversality(rp, ad),
+        CHECK_DUAL_REDUCEDNESS: _check_dual_reducedness(w, dual_ad),
+        CHECK_RANK_ANTIDIAGONAL: _check_rank_antidiagonal(w, rp),
+        CHECK_DOUBLE_DUAL: _check_double_dual(ad, twice),
+        CHECK_DUALITY: _check_duality(rp, ad, dual_ad, dual_rp),
+    }
+    return VerificationReport(
+        w, checks, {**_nonminimal_stats(rejected), **_off_staircase_stats(ad)}
+    )
 
 
-def _verify_worker(images: tuple[int, ...]) -> VerificationReport:
-    return verify_permutation(Permutation(images))
+def _verify_chunk(chunk: tuple[tuple[int, ...], ...]) -> list[VerificationReport]:
+    return [verify_permutation(Permutation(images)) for images in chunk]
 
 
 def verify_range(
@@ -306,32 +331,38 @@ def verify_range(
     """Run the full check suite for every permutation of S_n in
     lexicographic order.  Stops early, keeping the finished prefix, once
     the time budget is exceeded; budget exhaustion is a status, not an
-    error.  With jobs > 1 the permutations are distributed over worker
-    processes and reports are merged back in order."""
+    error.  With jobs > 1 the permutations go to worker processes in small
+    chunks, at most 2 * jobs of them in flight; chunks are collected in
+    submission order, so reports stay in lexicographic order, and the
+    budget is checked after every chunk."""
     if n < 1:
         raise ValueError("n must be at least 1")
     start = time.monotonic()
     deadline = None if budget_seconds is None else start + budget_seconds
-    total = factorial(n)
+
+    def out_of_time() -> bool:
+        return deadline is not None and time.monotonic() > deadline
+
     reports: list[VerificationReport] = []
-    exhausted = False
     if jobs <= 1:
         for w in all_permutations(n):
-            if deadline is not None and time.monotonic() > deadline:
-                exhausted = True
+            if out_of_time():
                 break
             reports.append(verify_permutation(w))
     else:
-        images = [w.images for w in all_permutations(n)]
+        images = (w.images for w in all_permutations(n))
+        chunks = iter(lambda: tuple(islice(images, CHUNK_SIZE)), ())
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            stream = pool.map(_verify_worker, images, chunksize=16)
-            for report in stream:
-                reports.append(report)
-                if deadline is not None and time.monotonic() > deadline:
-                    break
-            if len(reports) < total:
-                exhausted = True
-                pool.shutdown(wait=True, cancel_futures=True)
+            window = deque(
+                pool.submit(_verify_chunk, chunk) for chunk in islice(chunks, 2 * jobs)
+            )
+            while window and not out_of_time():
+                reports.extend(window.popleft().result())
+                chunk = next(chunks, None)
+                if chunk is not None:
+                    window.append(pool.submit(_verify_chunk, chunk))
+            pool.shutdown(wait=True, cancel_futures=True)
+    exhausted = len(reports) < factorial(n)
     return VerificationRun(n, reports, exhausted, time.monotonic() - start)
 
 

@@ -194,6 +194,39 @@ class TestVerify:
             main(["verify", "--n", "0"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--jobs", "0"),
+            ("--jobs", "-3"),
+            ("--budget", "nan"),
+            ("--budget", "-1"),
+            ("--budget", "inf"),
+        ],
+    )
+    def test_rejects_bad_flag_value(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "2", flag, value])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_rejects_bad_jobs_environment(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PD_JOBS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "2"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_bad_jobs_environment_only_matters_to_verify(self, capsys, monkeypatch):
+        monkeypatch.setenv("PD_JOBS", "abc")
+        code, out, _ = run_cli(capsys, "rp", "21")
+        assert code == 0 and out == "{(1,1)}\n"
+        code, out, _ = run_cli(capsys, "verify", "--n", "2", "--jobs", "1")
+        assert code == 0 and out.endswith("2/2 permutations pass\n")
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -4,6 +4,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import pipedual.transversals as transversals
+import pipedual.verification as verification
 from pipedual.antidiagonals import antidiagonal_family
 from pipedual.grid import staircase_boxes
 from pipedual.permutations import (
@@ -20,6 +22,7 @@ from pipedual.transversals import (
 )
 from pipedual.verification import (
     ALL_CHECKS,
+    CHECK_DOUBLE_DUAL,
     CHECK_DUALITY,
     CheckResult,
     VerificationReport,
@@ -207,6 +210,73 @@ class TestVerifyRange:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             verify_range(0)
+
+    def test_parallel_budget_is_honoured(self):
+        run = verify_range(7, budget_seconds=1, jobs=2)
+        assert run.exhausted
+        assert run.elapsed < 3
+        images = [r.permutation.images for r in run.reports]
+        assert images == [w.images for w in all_permutations(7)][: len(images)]
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestSinglePass:
+    def _counted(self, monkeypatch):
+        counts: dict[str, int] = {}
+        for name in ("enumerate_rp", "antidiagonal_family", "dual_with_nonminimal"):
+            _count_calls(monkeypatch, verification, name, counts)
+        # transversal_dual reaches the Berge function through its own module
+        _count_calls(monkeypatch, transversals, "dual_with_nonminimal", counts)
+        return counts
+
+    def test_families_and_duals_computed_once(self, monkeypatch):
+        counts = self._counted(monkeypatch)
+        assert verify_permutation(parse_permutation("13254")).passed
+        assert counts == {
+            "enumerate_rp": 1,
+            "antidiagonal_family": 1,
+            "dual_with_nonminimal": 2,
+        }
+
+    def test_third_dual_only_when_duality_fails(self, monkeypatch):
+        w = parse_permutation("13254")
+        rp = enumerate_rp(w)
+        short = SetFamily(rp.n, rp.members[1:])
+        monkeypatch.setattr(verification, "enumerate_rp", lambda v: short)
+        counts = self._counted(monkeypatch)
+        report = verify_permutation(w)
+        assert counts["dual_with_nonminimal"] == 3
+        assert not report.checks[CHECK_DUALITY].passed
+        assert report.checks[CHECK_DOUBLE_DUAL].passed
+
+    def test_matches_the_public_checks_over_s5(self):
+        for w in all_permutations(5):
+            parts = [
+                verify_claim1(w),
+                verify_claim2(w),
+                verify_rank_antidiagonal_law(w),
+                verify_double_dual(w),
+                verify_theorem(w),
+            ]
+            checks = {k: v for part in parts for k, v in part.checks.items()}
+            stats = {k: v for part in parts for k, v in part.stats.items()}
+            report = verify_permutation(w)
+            assert report == VerificationReport(w, checks, stats)
+            assert list(report.checks) == list(checks) == list(ALL_CHECKS)
+            assert list(report.stats) == list(stats) == [
+                "nonminimal_transversals_seen",
+                "reduced_nonminimal_transversals",
+                "antidiagonals_off_staircase",
+            ]
 
 
 class TestReports:
