@@ -5,7 +5,8 @@ Prints one summary row per symmetric group: permutations checked, pass
 count, wall time, and the aggregated observation counters (non-minimal
 transversals encountered during dualization, how many of those were
 reduced pipe dreams, and antidiagonal family members reaching below the
-staircase).  Exits non-zero on the first failing check.
+staircase).  Runs every group, even after a failing check, and exits 1
+if any check failed.
 
 Usage:
     python scripts/run_full_verification.py --max-n 6 --budget 600 --jobs 2
@@ -14,15 +15,16 @@ Usage:
 import argparse
 import sys
 
+from pipedual.cli import _budget_seconds, _positive_int
 from pipedual.verification import verify_range
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=6)
-    parser.add_argument("--budget", type=float, default=600.0,
+    parser.add_argument("--budget", type=_budget_seconds, default=600.0,
                         help="per-group time budget in seconds")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_positive_int, default=1)
     args = parser.parse_args()
 
     header = (

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .grid import Box
+from .grid import Box, pack
 from .permutations import Permutation, rank_matrix
 from .transversals import SetFamily, minimalize
 
@@ -72,11 +72,11 @@ def antidiagonal_family(w: Permutation) -> SetFamily:
     """
     n = w.n
     rm = rank_matrix(w)
-    union: set[tuple[Box, ...]] = set()
+    union: set[int] = set()
     for p in range(1, n + 1):
         for q in range(1, n + 1):
             size = 1 + rm.entry(p, q)
             if size > min(p, q):
                 continue
-            union.update(_chains(1, p, q, size))
-    return minimalize(SetFamily.from_sets(n, union))
+            union.update(pack(n, chain) for chain in _chains(1, p, q, size))
+    return minimalize(SetFamily(n, union))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 Box = tuple[int, int]
 
 
@@ -17,3 +19,23 @@ def staircase_boxes(n: int) -> tuple[Box, ...]:
     return tuple(
         (i, j) for i in range(1, n) for j in range(1, n - i + 1)
     )
+
+
+def pack(n: int, boxes: Iterable[Box]) -> int:
+    """The mask of a box set: box (r, c) is bit (r - 1) * n + (c - 1)."""
+    mask = 0
+    for (r, c) in boxes:
+        mask |= 1 << ((r - 1) * n + (c - 1))
+    return mask
+
+
+def unpack(n: int, masks: Iterable[int]) -> Iterator[tuple[Box, ...]]:
+    """Box tuples of the masks, sorted by (row, col); one shared tuple per box."""
+    cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
+    for mask in masks:
+        boxes = []
+        while mask:
+            low = mask & -mask
+            boxes.append(cells[low.bit_length() - 1])
+            mask ^= low
+        yield tuple(boxes)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .grid import Box, staircase_boxes
+from .grid import Box, pack, staircase_boxes
 from .permutations import Permutation, length
 from .transversals import SetFamily
 
@@ -136,7 +136,7 @@ def enumerate_rp(w: Permutation) -> SetFamily:
     for c in range(n, 0, -1):
         cap[c] = cap[c + 1] + max(0, n - c)
 
-    results: list[frozenset[Box]] = []
+    results: list[int] = []
     crosses: list[Box] = []
     crossed: set[tuple[int, int]] = set()
 
@@ -155,7 +155,7 @@ def enumerate_rp(w: Permutation) -> SetFamily:
                 if rising != target[c - 1]:
                     return
                 if c == n:
-                    results.append(frozenset(crosses))
+                    results.append(pack(n, crosses))
                 else:
                     per_column(c + 1, east)
                 return
@@ -175,7 +175,7 @@ def enumerate_rp(w: Permutation) -> SetFamily:
         route(free, rising)
 
     per_column(1, list(range(1, n + 1)))
-    return SetFamily.from_sets(n, results)
+    return SetFamily(n, results)
 
 
 def enumerate_rp_bruteforce(w: Permutation) -> SetFamily:

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .grid import Box
+from .grid import Box, pack, unpack
 
 
 class FamilyFormatError(ValueError):
@@ -25,54 +25,43 @@ class FamilyFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SetFamily:
-    """A finite family of box sets in canonical order.
-
-    Each member is a tuple of boxes sorted by (row, col); the members are
-    sorted lexicographically and carry no duplicates.  Build instances
-    through :func:`SetFamily.from_sets`, which canonicalizes.
+    """A finite family of box sets, held as sorted, distinct masks (see
+    :func:`grid.pack`); the constructor canonicalizes.  Box sets enter
+    through :func:`SetFamily.from_sets`, which validates them, and leave
+    through ``members``: boxes sorted by (row, col), members sorted
+    lexicographically.
     """
 
     n: int
-    members: tuple[tuple[Box, ...], ...]
+    masks: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "masks", tuple(sorted(set(self.masks))))
 
     @staticmethod
     def from_sets(n: int, sets: Iterable[Iterable[Box]]) -> SetFamily:
-        canon = {tuple(sorted(set(s))) for s in sets}
-        for member in canon:
-            for (r, c) in member:
-                if not (1 <= r <= n and 1 <= c <= n):
-                    raise ValueError(f"box ({r}, {c}) outside the {n} x {n} grid")
-        return SetFamily(n, tuple(sorted(canon)))
+        sets = [tuple(s) for s in sets]
+        for (r, c) in (box for s in sets for box in s):
+            if not (1 <= r <= n and 1 <= c <= n):
+                raise ValueError(f"box ({r}, {c}) outside the {n} x {n} grid")
+        return SetFamily(n, (pack(n, s) for s in sets))
 
     @staticmethod
     def empty(n: int) -> SetFamily:
         return SetFamily(n, ())
 
+    @property
+    def members(self) -> tuple[tuple[Box, ...], ...]:
+        return tuple(sorted(unpack(self.n, self.masks)))
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.masks)
 
     def __iter__(self):
         return iter(self.members)
 
     def __contains__(self, boxes) -> bool:
         return tuple(sorted(set(boxes))) in set(self.members)
-
-
-def _pack(n: int, boxes: Iterable[Box]) -> int:
-    mask = 0
-    for (r, c) in boxes:
-        mask |= 1 << ((r - 1) * n + (c - 1))
-    return mask
-
-
-def _unpack(n: int, mask: int) -> tuple[Box, ...]:
-    boxes = []
-    while mask:
-        low = mask & -mask
-        b = low.bit_length() - 1
-        boxes.append((b // n + 1, b % n + 1))
-        mask ^= low
-    return tuple(boxes)
 
 
 def is_transversal(boxes: Iterable[Box], family: SetFamily) -> bool:
@@ -96,13 +85,11 @@ def is_minimal_transversal(boxes: Iterable[Box], family: SetFamily) -> bool:
 
 def minimalize(family: SetFamily) -> SetFamily:
     """Members of the family that do not strictly contain another member."""
-    masks = sorted((_pack(family.n, m) for m in family.members),
-                   key=lambda m: m.bit_count())
     kept: list[int] = []
-    for mask in masks:
+    for mask in sorted(family.masks, key=int.bit_count):
         if not any(k & mask == k for k in kept):
             kept.append(mask)
-    return SetFamily.from_sets(family.n, (_unpack(family.n, m) for m in kept))
+    return SetFamily(family.n, kept)
 
 
 def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
@@ -110,9 +97,7 @@ def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
     of the full family that the final multiplication round produced and
     discarded.  The second family is diagnostic; it is not part of any
     identity."""
-    n = family.n
-    members = sorted((_pack(n, m) for m in family.members),
-                     key=lambda m: m.bit_count())
+    members = sorted(family.masks, key=int.bit_count)
     pool: set[int] = {0}
     # witness lookup: for each grid cell, the processed members containing it
     by_cell: dict[int, list[int]] = {}
@@ -147,9 +132,7 @@ def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
         if round_no == len(members) - 1:
             rejected_last = extended - kept
         pool = hits | kept
-    dual = SetFamily.from_sets(n, (_unpack(n, t) for t in pool))
-    rejected = SetFamily.from_sets(n, (_unpack(n, t) for t in rejected_last))
-    return dual, rejected
+    return SetFamily(family.n, pool), SetFamily(family.n, rejected_last)
 
 
 def transversal_dual(family: SetFamily) -> SetFamily:

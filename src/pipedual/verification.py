@@ -26,6 +26,7 @@ from itertools import islice
 from math import factorial
 
 from .antidiagonals import antidiagonal_family
+from .grid import pack, staircase_boxes, unpack
 from .permutations import (
     Permutation,
     all_permutations,
@@ -40,7 +41,6 @@ from .transversals import (
     dual_with_nonminimal,
     family_from_json_obj,
     family_to_json_obj,
-    is_transversal,
     transversal_dual,
 )
 
@@ -107,20 +107,15 @@ class VerificationRun:
         return sum(1 for report in self.reports if report.passed)
 
 
-def _difference_family(left: SetFamily, right: SetFamily) -> SetFamily:
-    members = set(left.members) ^ set(right.members)
-    return SetFamily.from_sets(left.n, members)
-
-
-def _result_from_offenders(n: int, offenders: list) -> CheckResult:
+def _result_from_offenders(n: int, offenders: list[int]) -> CheckResult:
     if not offenders:
         return CheckResult(True)
-    return CheckResult(False, SetFamily.from_sets(n, offenders))
+    return CheckResult(False, SetFamily(n, offenders))
 
 
 def _check_transversality(rp: SetFamily, ad: SetFamily) -> CheckResult:
     return _result_from_offenders(
-        rp.n, [member for member in rp.members if not is_transversal(member, ad)]
+        rp.n, [m for m in rp.masks if not all(m & a for a in ad.masks)]
     )
 
 
@@ -134,10 +129,11 @@ def _as_reduced_dream(n: int, member) -> PipeDream | None:
 
 def _check_dual_reducedness(w: Permutation, dual_ad: SetFamily) -> CheckResult:
     offenders = []
-    for member in dual_ad.members:
+    for mask, member in zip(dual_ad.masks, unpack(w.n, dual_ad.masks)):
         dream = _as_reduced_dream(w.n, member)
-        if dream is None or not bruhat_geq(trace(dream), w):
-            offenders.append(member)
+        # Bruhat order is reflexive: v == w needs no rank matrices
+        if dream is None or not ((v := trace(dream)) == w or bruhat_geq(v, w)):
+            offenders.append(mask)
     return _result_from_offenders(w.n, offenders)
 
 
@@ -146,7 +142,7 @@ def _nonminimal_stats(rejected: SetFamily) -> dict[str, int]:
         "nonminimal_transversals_seen": len(rejected),
         "reduced_nonminimal_transversals": sum(
             1
-            for member in rejected.members
+            for member in unpack(rejected.n, rejected.masks)
             if _as_reduced_dream(rejected.n, member) is not None
         ),
     }
@@ -167,25 +163,22 @@ def _check_rank_antidiagonal(w: Permutation, rp: SetFamily) -> CheckResult:
 def _check_double_dual(ad: SetFamily, twice: SetFamily) -> CheckResult:
     if twice == ad:
         return CheckResult(True)
-    return CheckResult(False, _difference_family(twice, ad))
+    return CheckResult(False, SetFamily(ad.n, set(twice.masks) ^ set(ad.masks)))
 
 
 def _check_duality(
     rp: SetFamily, ad: SetFamily, dual_ad: SetFamily, dual_rp: SetFamily
 ) -> CheckResult:
     if dual_ad != rp:
-        return CheckResult(False, _difference_family(dual_ad, rp))
+        return CheckResult(False, SetFamily(rp.n, set(dual_ad.masks) ^ set(rp.masks)))
     if dual_rp != ad:
-        return CheckResult(False, _difference_family(dual_rp, ad))
+        return CheckResult(False, SetFamily(ad.n, set(dual_rp.masks) ^ set(ad.masks)))
     return CheckResult(True)
 
 
 def _off_staircase_stats(ad: SetFamily) -> dict[str, int]:
-    return {
-        "antidiagonals_off_staircase": sum(
-            1 for member in ad.members if any(r + c > ad.n for (r, c) in member)
-        )
-    }
+    off = ~pack(ad.n, staircase_boxes(ad.n))
+    return {"antidiagonals_off_staircase": sum(1 for m in ad.masks if m & off)}
 
 
 def verify_theorem(w: Permutation) -> VerificationReport:

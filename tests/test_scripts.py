@@ -1,0 +1,47 @@
+"""Smoke tests: each script in scripts/ runs end to end in a subprocess."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+class TestRunFullVerification:
+    def test_small_sweep_passes(self):
+        proc = run_script("run_full_verification.py", "--max-n", "3")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].split()[:3] == ["n", "checked", "passed"]
+        assert len(lines) == 2 + 3
+
+    @pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--budget", "nan")])
+    def test_rejects_bad_flag_value(self, flag, value):
+        proc = run_script("run_full_verification.py", "--max-n", "3", flag, value)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
+
+class TestSummarizeFamilies:
+    def test_small_summary(self):
+        proc = run_script("summarize_families.py", "--max-n", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("n=1\n")
+        assert "n=3\n" in proc.stdout

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pipedual.antidiagonals import antidiagonal_family
 from pipedual.permutations import parse_permutation
@@ -50,6 +50,29 @@ class TestSetFamily:
         assert len(family) == 2
         assert [(1, 1)] in family
         assert list(family) == [((1, 1),), ((2, 2),)]
+
+
+def box_lists_st(max_n=9, max_members=6, max_size=6):
+    # n = 9 puts boxes on bits up to 80, past one machine word
+    def build(n):
+        box = st.tuples(st.integers(1, n), st.integers(1, n))
+        member = st.lists(box, max_size=max_size)
+        return st.tuples(st.just(n), st.lists(member, max_size=max_members))
+
+    return st.integers(1, max_n).flatmap(build)
+
+
+class TestWideMasks:
+    @given(box_lists_st())
+    @example((9, [[(9, 9), (1, 1), (9, 9)], [(8, 9)], [], [(1, 1), (9, 9)]]))
+    def test_members_round_trip(self, case):
+        n, sets = case
+        family = SetFamily.from_sets(n, sets)
+        canonical = tuple(sorted({tuple(sorted(set(s))) for s in sets}))
+        assert family.members == canonical
+        assert len(family) == len(canonical)
+        assert SetFamily.from_sets(n, family.members) == family
+        assert family_from_json(family_to_json(family)) == family
 
 
 class TestIsTransversal:

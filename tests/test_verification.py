@@ -250,7 +250,7 @@ class TestSinglePass:
     def test_third_dual_only_when_duality_fails(self, monkeypatch):
         w = parse_permutation("13254")
         rp = enumerate_rp(w)
-        short = SetFamily(rp.n, rp.members[1:])
+        short = SetFamily.from_sets(rp.n, rp.members[1:])
         monkeypatch.setattr(verification, "enumerate_rp", lambda v: short)
         counts = self._counted(monkeypatch)
         report = verify_permutation(w)
