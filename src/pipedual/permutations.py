@@ -82,11 +82,9 @@ def parse_permutation(text: str) -> Permutation:
         tokens = [t.strip() for t in text.split(",")]
     else:
         tokens = list(text)
-    try:
-        images = tuple(int(t) for t in tokens)
-    except ValueError:
-        raise ValueError(f"non-numeric token in permutation: {text!r}") from None
-    return Permutation(images)
+    if not all(t.isascii() and t.isdigit() for t in tokens):
+        raise ValueError(f"non-numeric token in permutation: {text!r}")
+    return Permutation(tuple(int(t) for t in tokens))
 
 
 @dataclass(frozen=True)

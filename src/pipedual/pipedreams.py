@@ -122,59 +122,48 @@ def is_reduced(dream: PipeDream) -> bool:
 def enumerate_rp(w: Permutation) -> SetFamily:
     """All reduced pipe dreams tracing to w, as a canonical family.
 
-    Depth-first search over the staircase, column by column.  Within a
-    column the pipes are routed bottom to top; a branch is cut as soon as
-    a pair of pipes would cross twice, the crossing budget length(w) is
-    exceeded, the remaining columns cannot hold enough crossings, or the
-    pipe exiting the finished column contradicts w.
+    Depth-first search over the staircase boxes, column by column from the
+    left and each column from the bottom, so every box comes after the
+    boxes below it and to its left.  In that order the west and south
+    pipes of box (r, c) sit in the adjacent frontier slots r + c - 1 and
+    r + c; a crossing swaps them (the transposition s_{r+c-1}) and an
+    elbow leaves them.  A branch is cut as soon as a pair of pipes would
+    cross twice, the crossing budget length(w) is exceeded, the boxes
+    left cannot hold enough crossings, or the pipe leaving slot c at the
+    column's top box is not the one w sends to column c.
     """
     n = w.n
     target = w.inverse().images  # target[c-1] must exit north at column c
     budget = length(w)
-    # staircase boxes in columns >= c
-    cap = [0] * (n + 2)
-    for c in range(n, 0, -1):
-        cap[c] = cap[c + 1] + max(0, n - c)
-
+    boxes = [(r, c) for c in range(1, n) for r in range(n - c, 0, -1)]
+    slots = list(range(n + 1))  # slots[k]: the pipe in slot k (0 unused)
     results: list[int] = []
     crosses: list[Box] = []
     crossed: set[tuple[int, int]] = set()
 
-    def per_column(c: int, west: list[int]) -> None:
-        if len(crosses) + cap[c] < budget:
+    def visit(i: int) -> None:
+        if len(crosses) + len(boxes) - i < budget:
             return
-        free = n - c  # rows 1..free admit crossings; below is forced elbows
-        east = [0] * n
-        rising = 0  # the south-edge pipe of this column; exits east at row n
-        for r in range(n, free, -1):
-            east[r - 1] = rising
-            rising = west[r - 1]
+        if i == len(boxes):
+            results.append(pack(n, crosses))
+            return
+        r, c = boxes[i]
+        k = r + c - 1
+        a, b = slots[k], slots[k + 1]
+        if r > 1 or a == target[c - 1]:
+            visit(i + 1)
+        pair = (a, b) if a < b else (b, a)
+        if (len(crosses) < budget and pair not in crossed
+                and (r > 1 or b == target[c - 1])):
+            crossed.add(pair)
+            crosses.append((r, c))
+            slots[k], slots[k + 1] = b, a
+            visit(i + 1)
+            slots[k], slots[k + 1] = a, b
+            crosses.pop()
+            crossed.remove(pair)
 
-        def route(r: int, rising: int) -> None:
-            if r == 0:
-                if rising != target[c - 1]:
-                    return
-                if c == n:
-                    results.append(pack(n, crosses))
-                else:
-                    per_column(c + 1, east)
-                return
-            horiz = west[r - 1]
-            east[r - 1] = rising
-            route(r - 1, horiz)
-            if len(crosses) < budget:
-                pair = (horiz, rising) if horiz < rising else (rising, horiz)
-                if pair not in crossed:
-                    crossed.add(pair)
-                    crosses.append((r, c))
-                    east[r - 1] = horiz
-                    route(r - 1, rising)
-                    crosses.pop()
-                    crossed.remove(pair)
-
-        route(free, rising)
-
-    per_column(1, list(range(1, n + 1)))
+    visit(0)
     return SetFamily(n, results)
 
 

@@ -54,6 +54,12 @@ class TestRp:
         assert out == ""
         assert "not a permutation" in err
 
+    def test_signed_token_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "rp", "2,+1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "non-numeric token" in err
+
 
 class TestAd:
     def test_text(self, capsys):

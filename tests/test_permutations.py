@@ -41,6 +41,14 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_permutation(bad)
 
+    @pytest.mark.parametrize(
+        "bad", ["2,+1", "\u0662\u0661", "1_0,2,3,4,5,6,7,8,9,1"]
+    )
+    def test_only_ascii_digit_tokens(self, bad):
+        # int() would read these as 2,1 / 21 / 10,2,...,1
+        with pytest.raises(ValueError, match="non-numeric token"):
+            parse_permutation(bad)
+
     @pytest.mark.parametrize("bad", ["11", "123404", "22", "2,3,4", "0,1"])
     def test_not_a_bijection(self, bad):
         with pytest.raises(ValueError):

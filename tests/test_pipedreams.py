@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from pipedual.grid import staircase_boxes
 from pipedual.permutations import (
+    Permutation,
     all_permutations,
     identity,
     length,
@@ -161,6 +164,12 @@ class TestEnumerate:
             assert trace(d) == w
             assert is_reduced(d)
             assert len(member) == length(w)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_catalan_count_for_1_n_to_2(self, n):
+        # Woo (2004): |RP(1 n n-1 ... 2)| is the Catalan number C_{n-1}
+        w = Permutation((1,) + tuple(range(n, 1, -1)))
+        assert len(enumerate_rp(w)) == math.comb(2 * n - 2, n - 1) // n
 
     def test_brute_force_cap(self):
         with pytest.raises(ValueError):
