@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .grid import Box, pack, staircase_boxes
+from .grid import Box, staircase_boxes
 from .permutations import Permutation, length
 from .transversals import SetFamily
 
@@ -131,40 +131,57 @@ def enumerate_rp(w: Permutation) -> SetFamily:
     cross twice, the crossing budget length(w) is exceeded, the boxes
     left cannot hold enough crossings, or the pipe leaving slot c at the
     column's top box is not the one w sends to column c.
+
+    The search walks forward taking elbows and keeps the crossings still
+    to try on an explicit stack, so its depth is not bounded by Python's
+    recursion limit (the staircase of S_n has n(n-1)/2 boxes).
     """
     n = w.n
     target = w.inverse().images  # target[c-1] must exit north at column c
     budget = length(w)
-    boxes = [(r, c) for c in range(1, n) for r in range(n - c, 0, -1)]
+    # per box: its bit, its west slot, and the pipe that must leave slot c
+    # at the top of column c (0 below the top)
+    boxes = [
+        ((r - 1) * n + c - 1, r + c - 1, target[c - 1] if r == 1 else 0)
+        for c in range(1, n)
+        for r in range(n - c, 0, -1)
+    ]
     slots = list(range(n + 1))  # slots[k]: the pipe in slot k (0 unused)
+    crossed = [[False] * (n + 1) for _ in range(n + 1)]  # pipes a, b crossed
+    path: list[int] = []  # boxes crossed on the current branch, in order
+    pending: list[tuple[int, int]] = []  # (box, len(path) there): crossings to try
     results: list[int] = []
-    crosses: list[Box] = []
-    crossed: set[tuple[int, int]] = set()
-
-    def visit(i: int) -> None:
-        if len(crosses) + len(boxes) - i < budget:
-            return
-        if i == len(boxes):
-            results.append(pack(n, crosses))
-            return
-        r, c = boxes[i]
-        k = r + c - 1
-        a, b = slots[k], slots[k + 1]
-        if r > 1 or a == target[c - 1]:
-            visit(i + 1)
-        pair = (a, b) if a < b else (b, a)
-        if (len(crosses) < budget and pair not in crossed
-                and (r > 1 or b == target[c - 1])):
-            crossed.add(pair)
-            crosses.append((r, c))
+    mask = i = 0
+    # walk forward taking each box as an elbow, leaving its crossing on
+    # pending; at a leaf or a dead end, resume the latest pending crossing
+    while True:
+        if len(path) + len(boxes) - i >= budget:
+            if i == len(boxes):
+                results.append(mask)
+            else:
+                _, k, top = boxes[i]
+                a, b = slots[k], slots[k + 1]
+                if len(path) < budget and not crossed[a][b] and (not top or b == top):
+                    pending.append((i, len(path)))
+                if not top or a == top:
+                    i += 1
+                    continue
+        if not pending:
+            return SetFamily(n, results)
+        i, depth = pending.pop()
+        while len(path) > depth:  # unwind the branch back to box i
+            bit, k, _ = boxes[path.pop()]
+            a, b = slots[k], slots[k + 1]
             slots[k], slots[k + 1] = b, a
-            visit(i + 1)
-            slots[k], slots[k + 1] = a, b
-            crosses.pop()
-            crossed.remove(pair)
-
-    visit(0)
-    return SetFamily(n, results)
+            crossed[a][b] = crossed[b][a] = False
+            mask ^= 1 << bit
+        bit, k, _ = boxes[i]
+        a, b = slots[k], slots[k + 1]
+        slots[k], slots[k + 1] = b, a
+        crossed[a][b] = crossed[b][a] = True
+        mask |= 1 << bit
+        path.append(i)
+        i += 1
 
 
 def enumerate_rp_bruteforce(w: Permutation) -> SetFamily:

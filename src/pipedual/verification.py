@@ -149,15 +149,26 @@ def _nonminimal_stats(rejected: SetFamily) -> dict[str, int]:
 
 
 def _check_rank_antidiagonal(w: Permutation, rp: SetFamily) -> CheckResult:
-    rm = rank_matrix(w)
-    for member in rp.members:
-        dream = PipeDream(w.n, frozenset(member))
-        for p in range(1, w.n + 1):
-            for q in range(1, w.n + 1):
-                if max_elbow_antidiagonal(dream, p, q) != rm.entry(p, q):
-                    witness = SetFamily.from_sets(w.n, [member, [(p, q)]])
-                    return CheckResult(False, witness)
-    return CheckResult(True)
+    n = w.n
+    # rank-matrix row p as _antidiagonal_steps gives a row: bit q - 1 is
+    # set iff rank(w, p, q) > rank(w, p, q - 1)
+    rank_steps = [
+        sum(1 << c for c, (left, here) in enumerate(zip((0, *row), row)) if here > left)
+        for row in rank_matrix(w).entries
+    ]
+    # each offending mask -> its first failing (p, q) in row-major order
+    failures: dict[int, tuple[int, int]] = {}
+    for mask in rp.masks:
+        for p, steps in enumerate(rank_steps, 1):
+            if diff := _antidiagonal_steps(n, mask, p) ^ steps:
+                failures[mask] = (p, (diff & -diff).bit_length())
+                break
+    if not failures:
+        return CheckResult(True)
+    # the witness is the first offender in members order, not masks order
+    member = min(unpack(n, failures))
+    rect = failures[pack(n, member)]
+    return CheckResult(False, SetFamily.from_sets(n, [member, [rect]]))
 
 
 def _check_double_dual(ad: SetFamily, twice: SetFamily) -> CheckResult:
@@ -214,27 +225,36 @@ def verify_claim2(w: Permutation) -> VerificationReport:
     )
 
 
+def _antidiagonal_steps(n: int, mask: int, p: int) -> int:
+    """Row p of the table of largest crossing-free antidiagonals, as its
+    steps: bit q - 1 is set iff the largest antidiagonal inside [p] x [q]
+    avoiding the crossings of ``mask`` has one box more than inside
+    [p] x [q - 1] (a row grows by at most one box per column).
+
+    One chain DP runs bottom-up from row p: if L' is the row for rows
+    r+1..p, the row for rows r..p is L(c) = max(L(c - 1), L'(c),
+    L'(c - 1) + 1 if (r, c) is an elbow).  That is the longest-common-
+    subsequence recurrence with elbows as matches, run here bit-parallel,
+    one grid row per step (Hyyro, "Bit-parallel LCS-length computation
+    revisited", 2004).
+    """
+    full = (1 << n) - 1
+    v = full  # bit q - 1 clear iff the row so far steps up at column q
+    for r in range(p, 0, -1):
+        u = v & ~(mask >> (r - 1) * n)
+        v = ((v + u) | (v - u)) & full
+    return v ^ full
+
+
 def max_elbow_antidiagonal(dream: PipeDream, p: int, q: int) -> int:
     """Largest antidiagonal inside [p] x [q] avoiding every crossing tile
     of the pipe dream: longest strictly-northeast chain over elbow boxes,
-    by dynamic programming row by row from the bottom."""
+    read from row p of the chain DP that the rank/antidiagonal check runs
+    (the steps in its first q columns)."""
     if not (1 <= p <= dream.n and 1 <= q <= dream.n):
         raise IndexError(f"rectangle ({p}, {q}) out of range for n={dream.n}")
-    best = 0
-    # below[c] = longest chain with bottom box in a lower row and column <= c
-    below = [0] * (q + 1)
-    for r in range(p, 0, -1):
-        row_best = [0] * (q + 1)
-        for c in range(1, q + 1):
-            if (r, c) not in dream.crosses:
-                row_best[c] = 1 + below[c - 1]
-                if row_best[c] > best:
-                    best = row_best[c]
-        merged = [0] * (q + 1)
-        for c in range(1, q + 1):
-            merged[c] = max(merged[c - 1], below[c], row_best[c])
-        below = merged
-    return best
+    steps = _antidiagonal_steps(dream.n, pack(dream.n, dream.crosses), p)
+    return (steps & ((1 << q) - 1)).bit_count()
 
 
 def verify_rank_antidiagonal_law(w: Permutation) -> VerificationReport:

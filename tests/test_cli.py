@@ -60,6 +60,18 @@ class TestRp:
         assert out == ""
         assert "non-numeric token" in err
 
+    # the search visits all 1,770 staircase boxes of S_60 on one branch,
+    # deeper than Python's default recursion limit
+    def test_identity_at_n60(self, capsys):
+        code, out, err = run_cli(capsys, "rp", ",".join(map(str, range(1, 61))))
+        assert (code, out, err) == (0, "{}\n", "")
+
+    def test_last_simple_transposition_at_n60(self, capsys):
+        images = [*range(1, 59), 60, 59]
+        code, out, err = run_cli(capsys, "rp", ",".join(map(str, images)))
+        assert code == 0 and err == ""
+        assert out == "".join(f"{{({r},{60 - r})}}\n" for r in range(1, 60))
+
 
 class TestAd:
     def test_text(self, capsys):

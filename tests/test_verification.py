@@ -1,18 +1,23 @@
+import hashlib
+import itertools
 import json
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pipedual.transversals as transversals
 import pipedual.verification as verification
-from pipedual.antidiagonals import antidiagonal_family
+from pipedual.antidiagonals import antidiagonal_family, antidiagonals_in_rectangle
 from pipedual.grid import staircase_boxes
 from pipedual.permutations import (
+    Permutation,
     all_permutations,
     identity,
     parse_permutation,
     rank,
+    rank_matrix,
 )
 from pipedual.pipedreams import PipeDream, enumerate_rp
 from pipedual.transversals import (
@@ -24,6 +29,8 @@ from pipedual.verification import (
     ALL_CHECKS,
     CHECK_DOUBLE_DUAL,
     CHECK_DUALITY,
+    CHECK_RANK_ANTIDIAGONAL,
+    CHECK_TRANSVERSALITY,
     CheckResult,
     VerificationReport,
     max_elbow_antidiagonal,
@@ -132,6 +139,101 @@ class TestMaxElbowAntidiagonal:
                 )
 
 
+def brute_max_elbow(dream, p, q):
+    """Largest k such that some k-box antidiagonal in [p] x [q] misses
+    every crossing; a crossing-free antidiagonal stays so when shrunk."""
+    k = 0
+    while any(
+        dream.crosses.isdisjoint(a.boxes)
+        for a in antidiagonals_in_rectangle(p, q, k + 1)
+    ):
+        k += 1
+    return k
+
+
+class TestMaxElbowOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_staircase_subset(self, n):
+        boxes = staircase_boxes(n)
+        for size in range(len(boxes) + 1):
+            for crosses in itertools.combinations(boxes, size):
+                d = PipeDream(n, frozenset(crosses))
+                for p in range(1, n + 1):
+                    for q in range(1, n + 1):
+                        assert max_elbow_antidiagonal(d, p, q) == brute_max_elbow(
+                            d, p, q
+                        )
+
+    @given(dream_st(max_n=6))
+    def test_random_dreams(self, d):
+        for p in range(1, d.n + 1):
+            for q in range(1, d.n + 1):
+                assert max_elbow_antidiagonal(d, p, q) == brute_max_elbow(d, p, q)
+
+
+def per_rectangle_max_elbow(crosses, p, q):
+    # the per-rectangle DP the rank/antidiagonal check ran before the
+    # shared row DP, kept verbatim as the reference for its witnesses
+    best = 0
+    below = [0] * (q + 1)
+    for r in range(p, 0, -1):
+        row_best = [0] * (q + 1)
+        for c in range(1, q + 1):
+            if (r, c) not in crosses:
+                row_best[c] = 1 + below[c - 1]
+                if row_best[c] > best:
+                    best = row_best[c]
+        merged = [0] * (q + 1)
+        for c in range(1, q + 1):
+            merged[c] = max(merged[c - 1], below[c], row_best[c])
+        below = merged
+    return best
+
+
+def per_rectangle_rank_check(w, rp):
+    rm = rank_matrix(w)
+    for member in rp.members:
+        crosses = frozenset(member)
+        for p in range(1, w.n + 1):
+            for q in range(1, w.n + 1):
+                if per_rectangle_max_elbow(crosses, p, q) != rm.entry(p, q):
+                    witness = SetFamily.from_sets(w.n, [member, [(p, q)]])
+                    return CheckResult(False, witness)
+    return CheckResult(True)
+
+
+class TestRankWitness:
+    """On corrupted families the check must name the same witness as the
+    per-rectangle loop: the first failing member in ``members`` order and
+    its first failing rectangle in row-major order."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_matches_the_per_rectangle_loop(self, n):
+        rng = random.Random(n)
+        staircase = staircase_boxes(n)
+        failures = 0
+        for _ in range(12):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            w = Permutation(tuple(images))
+            members = enumerate_rp(w).members
+            for _ in range(2):
+                # drop a crossing from some members, add one to others
+                corrupted = [list(m) for m in members]
+                for member in rng.sample(corrupted, min(3, len(corrupted))):
+                    if member and rng.random() < 0.5:
+                        member.remove(rng.choice(member))
+                    else:
+                        member.append(
+                            rng.choice([b for b in staircase if b not in member])
+                        )
+                family = SetFamily.from_sets(n, corrupted)
+                expected = per_rectangle_rank_check(w, family)
+                assert verification._check_rank_antidiagonal(w, family) == expected
+                failures += not expected.passed
+        assert failures >= 12
+
+
 class TestRankAntidiagonalLaw:
     def test_worked_example(self):
         assert verify_rank_antidiagonal_law(parse_permutation("2143")).passed
@@ -217,6 +319,44 @@ class TestVerifyRange:
         assert run.elapsed < 3
         images = [r.permutation.images for r in run.reports]
         assert images == [w.images for w in all_permutations(7)][: len(images)]
+
+
+class TestOutputBytes:
+    # sha256 of `pipedual verify --n 6 --format json` stdout
+    S6_JSON_SHA256 = "de6dac9370459f78d5758c3e62d7140c7e37047fda4587ef647ab404d78845fd"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_verify_s6_json_is_pinned(self, jobs):
+        text = reports_to_json(verify_range(6, jobs=jobs).reports) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.S6_JSON_SHA256
+
+
+def short_permutation_st(min_n=8, max_n=10, max_steps=12):
+    """Products of at most max_steps simple transpositions: permutations
+    of S_8..S_10 whose families stay small."""
+
+    def product(n, steps):
+        images = list(range(1, n + 1))
+        for i in steps:
+            images[i - 1], images[i] = images[i], images[i - 1]
+        return Permutation(tuple(images))
+
+    return st.integers(min_n, max_n).flatmap(
+        lambda n: st.lists(st.integers(1, n - 1), max_size=max_steps).map(
+            lambda steps: product(n, steps)
+        )
+    )
+
+
+class TestBeyondExhaustive:
+    @settings(max_examples=40, derandomize=True)
+    @given(short_permutation_st())
+    def test_laws_hold(self, w):
+        report = verify_permutation(w)
+        assert report.checks[CHECK_RANK_ANTIDIAGONAL].passed
+        assert report.checks[CHECK_TRANSVERSALITY].passed
+        assert report.checks[CHECK_DUALITY].passed
+        assert report.passed
 
 
 def _count_calls(monkeypatch, module, name, counts):
