@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .grid import Box, staircase_boxes
 from .permutations import Permutation, length
@@ -119,6 +120,13 @@ def is_reduced(dream: PipeDream) -> bool:
     return all(pair.crossings <= 1 for pair in crossing_counts(dream))
 
 
+def _column_order(n: int) -> list[Box]:
+    """The staircase boxes column by column from the left, each column
+    from the bottom: the order in which the west and south pipes of box
+    (r, c) sit in the adjacent frontier slots r + c - 1 and r + c."""
+    return [(r, c) for c in range(1, n) for r in range(n - c, 0, -1)]
+
+
 def enumerate_rp(w: Permutation) -> SetFamily:
     """All reduced pipe dreams tracing to w, as a canonical family.
 
@@ -143,8 +151,7 @@ def enumerate_rp(w: Permutation) -> SetFamily:
     # at the top of column c (0 below the top)
     boxes = [
         ((r - 1) * n + c - 1, r + c - 1, target[c - 1] if r == 1 else 0)
-        for c in range(1, n)
-        for r in range(n - c, 0, -1)
+        for (r, c) in _column_order(n)
     ]
     slots = list(range(n + 1))  # slots[k]: the pipe in slot k (0 unused)
     crossed = [[False] * (n + 1) for _ in range(n + 1)]  # pipes a, b crossed
@@ -182,6 +189,40 @@ def enumerate_rp(w: Permutation) -> SetFamily:
         mask |= 1 << bit
         path.append(i)
         i += 1
+
+
+def reduced_traces(n: int, masks: Iterable[int]) -> Iterator[tuple[int, ...] | None]:
+    """For each mask of crossing tiles (see :func:`grid.pack`), the images
+    of its trace if it is a reduced pipe dream of the n x n grid, and None
+    if it is not reduced or has a tile off the staircase.
+
+    Reads the crossings in :func:`enumerate_rp`'s box order, swapping
+    slots r + c - 1 and r + c at each; this is the pipe dream's word in
+    the triangular reduced word of the longest permutation (Knutson and
+    Miller, "Subword complexes in Coxeter groups", Adv. Math. 2004).
+    Pipes keep their order in the slots until they cross, so a crossing
+    whose lower slot holds the larger pipe is the pair's second.  At the
+    end slot c holds the pipe that exits at column c.
+    """
+    boxes = [((r - 1) * n + c - 1, r + c - 1) for (r, c) in _column_order(n)]
+    off_staircase = ~sum(1 << bit for bit, _ in boxes)
+    for mask in masks:
+        if mask & off_staircase:
+            yield None
+            continue
+        slots = list(range(n + 1))  # slots[k]: the pipe in slot k (0 unused)
+        for bit, k in boxes:
+            if mask >> bit & 1:
+                a, b = slots[k], slots[k + 1]
+                if a > b:
+                    yield None
+                    break
+                slots[k], slots[k + 1] = b, a
+        else:
+            images = [0] * n
+            for c in range(1, n + 1):
+                images[slots[c] - 1] = c
+            yield tuple(images)
 
 
 def enumerate_rp_bruteforce(w: Permutation) -> SetFamily:

@@ -4,10 +4,9 @@ filtering, transversality tests, and minimal-transversal enumeration.
 
 A transversal of a family is a box set meeting every member at least
 once; the transversal dual collects all inclusion-minimal transversals.
-Dualization runs incremental Berge multiplication over bit-packed
-members, filtering each round with the witness criterion: T is a minimal
-transversal iff every t in T is the sole intersection of T with some
-member.
+Dualization is a depth-first MMCS search over bit-packed members: it
+grows one transversal at a time and keeps it minimal at every step, so
+it holds no pool of candidate transversals.
 """
 
 from __future__ import annotations
@@ -92,56 +91,80 @@ def minimalize(family: SetFamily) -> SetFamily:
     return SetFamily(family.n, kept)
 
 
-def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
-    """The transversal dual of the family, and the non-minimal transversals
-    of the full family that the final multiplication round produced and
-    discarded.  The second family is diagnostic; it is not part of any
-    identity."""
-    members = sorted(family.masks, key=int.bit_count)
-    pool: set[int] = {0}
-    # witness lookup: for each grid cell, the processed members containing it
-    by_cell: dict[int, list[int]] = {}
-    rejected_last: set[int] = set()
-
-    def is_minimal(t: int) -> bool:
-        rest = t
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if not any(s & t == low for s in by_cell.get(low.bit_length() - 1, ())):
-                return False
-        return True
-
-    for round_no, member in enumerate(members):
-        hits = {p for p in pool if p & member}
-        extended: set[int] = set()
-        for p in pool - hits:
-            cells = member
-            while cells:
-                low = cells & -cells
-                cells ^= low
-                extended.add(p | low)
-        extended -= hits
-        b = member
-        while b:
-            low = b & -b
-            b ^= low
-            by_cell.setdefault(low.bit_length() - 1, []).append(member)
-        # unchanged transversals keep their old witnesses and stay minimal
-        kept = {t for t in extended if is_minimal(t)}
-        if round_no == len(members) - 1:
-            rejected_last = extended - kept
-        pool = hits | kept
-    return SetFamily(family.n, pool), SetFamily(family.n, rejected_last)
-
-
 def transversal_dual(family: SetFamily) -> SetFamily:
     """The family of all inclusion-minimal transversals, canonically ordered.
 
     The dual of the empty family is the family containing only the empty
     set; a family containing the empty set has no transversals at all.
+
+    Depth-first MMCS (Murakami and Uno, "Efficient algorithms for
+    dualizing large-scale hypergraphs", Discrete Appl. Math. 2014) on an
+    explicit stack.  A node holds the chosen cells, the cells still
+    allowed, the members not yet met (as a list and as a bit set over
+    member indices) and, per chosen cell, its critical members: those
+    the chosen cells meet in that cell alone.  A node branches on the
+    unmet member with the fewest allowed cells; the child for its i-th
+    cell may not use its later cells, so every minimal transversal is
+    found once.  A child whose cell leaves an earlier cell without a
+    critical member is cut, so every node is a minimal transversal of
+    the members it meets.
     """
-    return dual_with_nonminimal(family)[0]
+    members = family.masks
+    # per cell: the members containing it, as a bit set over member indices
+    holders: dict[int, int] = {}
+    allowed = 0
+    for i, member in enumerate(members):
+        allowed |= member
+        while member:
+            cell = member & -member
+            member ^= cell
+            holders[cell] = holders.get(cell, 0) | 1 << i
+    found: list[int] = []
+    stack = [(0, allowed, (1 << len(members)) - 1, members, ())]
+    while stack:
+        chosen, allowed, unmet, open_members, critical = stack.pop()
+        if not open_members:
+            found.append(chosen)
+            continue
+        branch, fewest = allowed, allowed.bit_count()
+        for member in open_members:
+            member &= allowed
+            if (k := member.bit_count()) < fewest:
+                branch, fewest = member, k
+                if k <= 1:
+                    break
+        allowed &= ~branch
+        while branch:
+            cell = branch & -branch
+            branch ^= cell
+            held = holders[cell]
+            still = [c & ~held for c in critical]
+            if all(still):
+                still.append(unmet & held)
+                rest = [m for m in open_members if not m & cell]
+                stack.append((chosen | cell, allowed, unmet & ~held, rest, tuple(still)))
+            allowed |= cell
+    return SetFamily(family.n, found)
+
+
+def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
+    """The transversal dual of the family, and the non-minimal transversals
+    that incremental Berge multiplication, taking members by size, would
+    build in its final round and discard.  The second family is
+    diagnostic; it is not part of any identity.
+
+    Berge's final round extends every minimal transversal of the other
+    members that misses the last member by one cell of it, and keeps the
+    minimal extensions, so its rejects are those extensions minus the
+    dual of the family.  Equal sizes go in mask order, so the last member
+    is the largest mask of the largest size.
+    """
+    last = max(family.masks, key=lambda m: (m.bit_count(), m), default=0)
+    dual = transversal_dual(family)
+    before = transversal_dual(SetFamily(family.n, (m for m in family.masks if m != last)))
+    cells = [1 << i for i in range(last.bit_length()) if last >> i & 1]
+    extended = {p | cell for p in before.masks if not p & last for cell in cells}
+    return dual, SetFamily(family.n, extended.difference(dual.masks))
 
 
 def family_to_json_obj(family: SetFamily) -> dict:

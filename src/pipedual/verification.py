@@ -35,7 +35,7 @@ from .permutations import (
     length,
     rank_matrix,
 )
-from .pipedreams import PipeDream, enumerate_rp, is_reduced, trace
+from .pipedreams import PipeDream, enumerate_rp, reduced_traces
 from .transversals import (
     SetFamily,
     dual_with_nonminimal,
@@ -119,32 +119,22 @@ def _check_transversality(rp: SetFamily, ad: SetFamily) -> CheckResult:
     )
 
 
-def _as_reduced_dream(n: int, member) -> PipeDream | None:
-    try:
-        dream = PipeDream(n, frozenset(member))
-    except ValueError:
-        return None
-    return dream if is_reduced(dream) else None
-
-
 def _check_dual_reducedness(w: Permutation, dual_ad: SetFamily) -> CheckResult:
-    offenders = []
-    for mask, member in zip(dual_ad.masks, unpack(w.n, dual_ad.masks)):
-        dream = _as_reduced_dream(w.n, member)
+    offenders = [
+        mask
+        for mask, images in zip(dual_ad.masks, reduced_traces(w.n, dual_ad.masks))
         # Bruhat order is reflexive: v == w needs no rank matrices
-        if dream is None or not ((v := trace(dream)) == w or bruhat_geq(v, w)):
-            offenders.append(mask)
+        if images is None
+        or not (images == w.images or bruhat_geq(Permutation(images), w))
+    ]
     return _result_from_offenders(w.n, offenders)
 
 
 def _nonminimal_stats(rejected: SetFamily) -> dict[str, int]:
+    traces = reduced_traces(rejected.n, rejected.masks)
     return {
         "nonminimal_transversals_seen": len(rejected),
-        "reduced_nonminimal_transversals": sum(
-            1
-            for member in unpack(rejected.n, rejected.masks)
-            if _as_reduced_dream(rejected.n, member) is not None
-        ),
+        "reduced_nonminimal_transversals": sum(t is not None for t in traces),
     }
 
 

@@ -5,7 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from pipedual.cli import EXIT_BAD_JSON, EXIT_BUDGET, EXIT_FAIL, EXIT_USAGE, build_parser, main
+from pipedual.cli import (
+    EXIT_BAD_JSON,
+    EXIT_BUDGET,
+    EXIT_FAIL,
+    EXIT_USAGE,
+    _format_member,
+    build_parser,
+    main,
+)
 from pipedual.permutations import identity
 from pipedual.transversals import SetFamily, family_from_json, family_to_json
 from pipedual.verification import CheckResult, VerificationReport
@@ -120,6 +128,15 @@ class TestDual:
         code, out, _ = run_cli(capsys, "dual", str(path))
         assert code == 0
         assert out == "{}\n"
+
+    def test_1600_singletons_need_no_recursion(self, capsys, tmp_path):
+        # one transversal of 1,600 cells: a search as deep as the family
+        cells = [(r, c) for r in range(1, 41) for c in range(1, 41)]
+        path = tmp_path / "singletons.json"
+        path.write_text(json.dumps({"n": 40, "members": [[[r, c]] for r, c in cells]}))
+        code, out, err = run_cli(capsys, "dual", str(path))
+        assert code == 0 and err == ""
+        assert out == _format_member(cells) + "\n"
 
     def test_malformed_json_exits_3(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

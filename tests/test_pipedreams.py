@@ -1,9 +1,11 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pipedual.grid import staircase_boxes
+from pipedual.grid import pack, staircase_boxes
 from pipedual.permutations import (
     Permutation,
     all_permutations,
@@ -19,6 +21,7 @@ from pipedual.pipedreams import (
     enumerate_rp,
     enumerate_rp_bruteforce,
     is_reduced,
+    reduced_traces,
     render_ascii,
     trace,
 )
@@ -120,6 +123,55 @@ class TestIsReduced:
         l = length(trace(d))
         assert len(d.crosses) >= l
         assert (len(d.crosses) == l) == is_reduced(d)
+
+
+def _tile_walk_trace(n, mask):
+    """What reduced_traces must give for one mask, from the tile walk."""
+    boxes = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1) if mask >> (r - 1) * n + c - 1 & 1]
+    try:
+        dream = PipeDream(n, frozenset(boxes))
+    except ValueError:
+        return None
+    return trace(dream).images if is_reduced(dream) else None
+
+
+class TestReducedTracesOracle:
+    """The slot model of :func:`reduced_traces` against the tile walk."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_staircase_subset(self, n):
+        bits = [pack(n, [box]) for box in staircase_boxes(n)]
+        masks = [
+            sum(subset)
+            for k in range(len(bits) + 1)
+            for subset in itertools.combinations(bits, k)
+        ]
+        assert list(reduced_traces(n, masks)) == [_tile_walk_trace(n, m) for m in masks]
+
+    def test_seeded_masks_up_to_n8(self):
+        rng = random.Random(2004)
+        kinds = {"reduced": 0, "not reduced": 0, "off staircase": 0}
+        for n in range(2, 9):
+            stair = pack(n, staircase_boxes(n))
+            masks = []
+            for _ in range(300):
+                # sparse draws are mostly reduced, dense ones mostly not
+                density = rng.choice([0.05, 0.15, 0.4, 0.8])
+                mask = sum(1 << b for b in range(n * n) if rng.random() < density)
+                masks.append(mask & stair if rng.random() < 0.8 else mask)
+            expected = [_tile_walk_trace(n, m) for m in masks]
+            assert list(reduced_traces(n, masks)) == expected
+            for mask, images in zip(masks, expected):
+                if mask & ~stair:
+                    kinds["off staircase"] += 1
+                else:
+                    kinds["reduced" if images else "not reduced"] += 1
+        assert min(kinds.values()) > 100, kinds
+
+    def test_enumerated_dreams_trace_to_w(self):
+        w = parse_permutation("317529846")
+        rp = enumerate_rp(w)
+        assert set(reduced_traces(w.n, rp.masks)) == {w.images}
 
 
 class TestEnumerate:

@@ -1,11 +1,15 @@
 """Smoke tests: each script in scripts/ runs end to end in a subprocess."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from pipedual.verification import reports_to_json, verify_range
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,3 +49,24 @@ class TestSummarizeFamilies:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("n=1\n")
         assert "n=3\n" in proc.stdout
+
+
+class TestBenchSweep:
+    def test_small_sweep_record(self, tmp_path):
+        out = tmp_path / "bench.json"
+        for label in ("first", "second", "first"):
+            proc = run_script(
+                "bench_sweep.py", "--n", "4", "--jobs", "2", "--label", label,
+                "--out", str(out),
+            )
+            assert proc.returncode == 0, proc.stderr
+        runs = json.loads(out.read_text())["runs"]
+        assert [run["label"] for run in runs] == ["second", "first"]
+        payload = (reports_to_json(verify_range(4).reports) + "\n").encode()
+        for run in runs:
+            assert run["command"] == "pipedual verify --n 4 --jobs 2 --format json"
+            assert run["exit_status"] == 0
+            assert run["stdout_bytes"] == len(payload)
+            assert run["stdout_sha256"] == hashlib.sha256(payload).hexdigest()
+            assert run["wall_s"] > 0 and run["cpu_s"] > 0 and run["peak_rss_mb"] > 1
+            assert run["commit"]

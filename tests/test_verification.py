@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -369,32 +370,50 @@ def _count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
+def _record_duals(monkeypatch):
+    """Count the families handed to the dualizer, from either module."""
+    dualized: collections.Counter = collections.Counter()
+    original = transversals.transversal_dual
+
+    def recorded(family):
+        dualized[family] += 1
+        return original(family)
+
+    monkeypatch.setattr(transversals, "transversal_dual", recorded)
+    monkeypatch.setattr(verification, "transversal_dual", recorded)
+    return dualized
+
+
+def _without_last(family):
+    # the member Berge's order takes last; the non-minimal stats dualize the rest
+    last = sorted(family.masks, key=int.bit_count)[-1]
+    return SetFamily(family.n, [m for m in family.masks if m != last])
+
+
 class TestSinglePass:
     def _counted(self, monkeypatch):
         counts: dict[str, int] = {}
-        for name in ("enumerate_rp", "antidiagonal_family", "dual_with_nonminimal"):
+        for name in ("enumerate_rp", "antidiagonal_family"):
             _count_calls(monkeypatch, verification, name, counts)
-        # transversal_dual reaches the Berge function through its own module
-        _count_calls(monkeypatch, transversals, "dual_with_nonminimal", counts)
-        return counts
+        return counts, _record_duals(monkeypatch)
 
     def test_families_and_duals_computed_once(self, monkeypatch):
-        counts = self._counted(monkeypatch)
-        assert verify_permutation(parse_permutation("13254")).passed
-        assert counts == {
-            "enumerate_rp": 1,
-            "antidiagonal_family": 1,
-            "dual_with_nonminimal": 2,
-        }
+        w = parse_permutation("13254")
+        rp, ad = enumerate_rp(w), antidiagonal_family(w)
+        counts, dualized = self._counted(monkeypatch)
+        assert verify_permutation(w).passed
+        assert counts == {"enumerate_rp": 1, "antidiagonal_family": 1}
+        assert dualized == {rp: 1, ad: 1, _without_last(ad): 1}
 
     def test_third_dual_only_when_duality_fails(self, monkeypatch):
         w = parse_permutation("13254")
-        rp = enumerate_rp(w)
+        rp, ad = enumerate_rp(w), antidiagonal_family(w)
         short = SetFamily.from_sets(rp.n, rp.members[1:])
         monkeypatch.setattr(verification, "enumerate_rp", lambda v: short)
-        counts = self._counted(monkeypatch)
+        _, dualized = self._counted(monkeypatch)
         report = verify_permutation(w)
-        assert counts["dual_with_nonminimal"] == 3
+        # dual(AD) == RP is dualized again only because it differs from short
+        assert dualized == {short: 1, ad: 1, _without_last(ad): 1, rp: 1}
         assert not report.checks[CHECK_DUALITY].passed
         assert report.checks[CHECK_DOUBLE_DUAL].passed
 
