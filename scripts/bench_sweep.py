@@ -76,8 +76,9 @@ def sweep(checkout: Path, n: int, jobs: int, budget: float | None) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--budget", type=float, default=None,

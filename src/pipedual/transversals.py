@@ -142,7 +142,8 @@ def transversal_dual(family: SetFamily) -> SetFamily:
             if all(still):
                 still.append(unmet & held)
                 rest = [m for m in open_members if not m & cell]
-                stack.append((chosen | cell, allowed, unmet & ~held, rest, tuple(still)))
+                child = (chosen | cell, allowed, unmet & ~held, rest, tuple(still))
+                stack.append(child)
             allowed |= cell
     return SetFamily(family.n, found)
 
@@ -161,7 +162,8 @@ def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
     """
     last = max(family.masks, key=lambda m: (m.bit_count(), m), default=0)
     dual = transversal_dual(family)
-    before = transversal_dual(SetFamily(family.n, (m for m in family.masks if m != last)))
+    rest = SetFamily(family.n, (m for m in family.masks if m != last))
+    before = transversal_dual(rest)
     cells = [1 << i for i in range(last.bit_length()) if last >> i & 1]
     extended = {p | cell for p in before.masks if not p & last for cell in cells}
     return dual, SetFamily(family.n, extended.difference(dual.masks))

@@ -203,9 +203,10 @@ def verify_claim2(w: Permutation) -> VerificationReport:
     read as a pipe dream, is reduced and traces to a permutation weakly
     above w in Bruhat order.
 
-    Also records how many non-minimal transversals the final dualization
-    round discarded, and how many of those were reduced pipe dreams; the
-    counts are observations, not assertions.
+    Also records how many non-minimal transversals the final round of
+    Berge multiplication would discard (see :func:`dual_with_nonminimal`),
+    and how many of those are reduced pipe dreams; the counts are
+    observations, not assertions.
     """
     dual_ad, rejected = dual_with_nonminimal(antidiagonal_family(w))
     return VerificationReport(

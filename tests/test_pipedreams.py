@@ -127,9 +127,9 @@ class TestIsReduced:
 
 def _tile_walk_trace(n, mask):
     """What reduced_traces must give for one mask, from the tile walk."""
-    boxes = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1) if mask >> (r - 1) * n + c - 1 & 1]
+    cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
     try:
-        dream = PipeDream(n, frozenset(boxes))
+        dream = PipeDream(n, frozenset(box for box in cells if mask & pack(n, [box])))
     except ValueError:
         return None
     return trace(dream).images if is_reduced(dream) else None
