@@ -4,9 +4,9 @@ a permutation.
 
 An antidiagonal is a box set with no element weakly southeast of another:
 listed by increasing row, the columns strictly decrease.  The family of a
-permutation w collects, over every upper-left rectangle [p] x [q], the
-antidiagonals of size 1 + rank(w, p, q), and keeps the inclusion-minimal
-ones.
+permutation w collects, over the upper-left rectangles [p] x [q] cornered
+at Fulton's essential set of w, the antidiagonals of size
+1 + rank(w, p, q), and keeps the inclusion-minimal ones.
 """
 
 from __future__ import annotations
@@ -63,20 +63,48 @@ def antidiagonals_in_rectangle(p: int, q: int, size: int) -> Iterator[Antidiagon
         yield Antidiagonal(boxes)
 
 
+def essential_set(w: Permutation) -> tuple[Box, ...]:
+    """Fulton's essential set of w, in row-major order: the boxes (p, q) of
+    the Rothe diagram D(w) = {(i, j) : j < w(i), i < w^-1(j)} such that
+    neither (p + 1, q) nor (p, q + 1) is in D(w).
+
+    >>> essential_set(Permutation((2, 1, 4, 3)))
+    ((1, 1), (3, 3))
+    >>> essential_set(Permutation((1, 4, 3, 2)))
+    ((2, 3), (3, 2))
+    """
+    n = w.n
+    images, inverse = w.images, w.inverse().images
+
+    def in_diagram(i: int, j: int) -> bool:
+        return i <= n and j <= n and j < images[i - 1] and i < inverse[j - 1]
+
+    return tuple(
+        (p, q)
+        for p in range(1, n + 1)
+        for q in range(1, n + 1)
+        if in_diagram(p, q) and not in_diagram(p + 1, q) and not in_diagram(p, q + 1)
+    )
+
+
 def antidiagonal_family(w: Permutation) -> SetFamily:
     """The inclusion-minimal antidiagonals of w, canonically ordered.
 
-    For every rectangle [p] x [q] the relevant antidiagonals have exactly
-    1 + rank(w, p, q) boxes; rectangles that cannot hold one (required
-    size above min(p, q)) are skipped, and minimality does the rest.
+    Collects the antidiagonals of 1 + rank(w, p, q) boxes in [p] x [q] for
+    each (p, q) of the essential set, then keeps the minimal ones.  The
+    essential minors already define the Schubert determinantal ideal
+    (Fulton, "Flags, Schubert polynomials, degeneracy loci, and
+    determinantal formulas", Duke Math. J. 1992), and their antidiagonals
+    generate its initial ideal (Knutson and Miller, "Groebner geometry of
+    Schubert polynomials", Ann. Math. 2005, Thm. B), so the other
+    rectangles add only non-minimal antidiagonals.  A diagram box (p, q)
+    has no one-entry west of it in row p or north of it in column q, so
+    1 + rank(w, p, q) <= min(p, q) and every essential rectangle holds one.
     """
     n = w.n
     rm = rank_matrix(w)
     union: set[int] = set()
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            size = 1 + rm.entry(p, q)
-            if size > min(p, q):
-                continue
-            union.update(pack(n, chain) for chain in _chains(1, p, q, size))
+    for p, q in essential_set(w):
+        size = 1 + rm.entry(p, q)
+        union.update(pack(n, chain) for chain in _chains(1, p, q, size))
     return minimalize(SetFamily(n, union))

@@ -136,9 +136,15 @@ def enumerate_rp(w: Permutation) -> SetFamily:
     pipes of box (r, c) sit in the adjacent frontier slots r + c - 1 and
     r + c; a crossing swaps them (the transposition s_{r+c-1}) and an
     elbow leaves them.  A branch is cut as soon as a pair of pipes would
-    cross twice, the crossing budget length(w) is exceeded, the boxes
-    left cannot hold enough crossings, or the pipe leaving slot c at the
-    column's top box is not the one w sends to column c.
+    cross twice, the crossing budget length(w) is exceeded, or the boxes
+    left cannot hold enough crossings.
+
+    Column c must leave w^-1(c) in slot c.  Its boxes touch ever lower
+    slots, so that pipe can only move down, and a slot above the box in
+    hand is never touched again in the column.  Hence at every box of
+    column c a crossing that would take w^-1(c) from the west slot up is
+    cut, and so is an elbow that would leave it in the south slot; at the
+    top box, whose west slot is c, w^-1(c) must be in one of the two.
 
     The search walks forward taking elbows and keeps the crossings still
     to try on an explicit stack, so its depth is not bounded by Python's
@@ -147,47 +153,55 @@ def enumerate_rp(w: Permutation) -> SetFamily:
     n = w.n
     target = w.inverse().images  # target[c-1] must exit north at column c
     budget = length(w)
-    # per box: its bit, its west slot, and the pipe that must leave slot c
-    # at the top of column c (0 below the top)
+    # per box: its bit, its west slot, the pipe that must leave slot c at
+    # the top of its column c, and whether it is that top box
     boxes = [
-        ((r - 1) * n + c - 1, r + c - 1, target[c - 1] if r == 1 else 0)
+        ((r - 1) * n + c - 1, r + c - 1, target[c - 1], r == 1)
         for (r, c) in _column_order(n)
     ]
+    end = len(boxes)
+    slack = end - budget  # the elbows a dream of w has on the staircase
     slots = list(range(n + 1))  # slots[k]: the pipe in slot k (0 unused)
     crossed = [[False] * (n + 1) for _ in range(n + 1)]  # pipes a, b crossed
-    path: list[int] = []  # boxes crossed on the current branch, in order
-    pending: list[tuple[int, int]] = []  # (box, len(path) there): crossings to try
+    path = [0] * budget  # path[:depth]: boxes crossed on the current branch
+    pending: list[tuple[int, int]] = []  # (box, depth there): crossings to try
     results: list[int] = []
-    mask = i = 0
+    mask = i = depth = 0
     # walk forward taking each box as an elbow, leaving its crossing on
     # pending; at a leaf or a dead end, resume the latest pending crossing
     while True:
-        if len(path) + len(boxes) - i >= budget:
-            if i == len(boxes):
+        if i - depth <= slack:
+            if i == end:
                 results.append(mask)
             else:
-                _, k, top = boxes[i]
+                _, k, want, top = boxes[i]
                 a, b = slots[k], slots[k + 1]
-                if len(path) < budget and not crossed[a][b] and (not top or b == top):
-                    pending.append((i, len(path)))
-                if not top or a == top:
+                if (
+                    depth < budget
+                    and (b == want if top else a != want)
+                    and not crossed[a][b]
+                ):
+                    pending.append((i, depth))
+                if a == want if top else b != want:
                     i += 1
                     continue
         if not pending:
             return SetFamily(n, results)
-        i, depth = pending.pop()
-        while len(path) > depth:  # unwind the branch back to box i
-            bit, k, _ = boxes[path.pop()]
+        i, back = pending.pop()
+        while depth > back:  # unwind the branch back to box i
+            depth -= 1
+            bit, k, _, _ = boxes[path[depth]]
             a, b = slots[k], slots[k + 1]
             slots[k], slots[k + 1] = b, a
             crossed[a][b] = crossed[b][a] = False
             mask ^= 1 << bit
-        bit, k, _ = boxes[i]
+        bit, k, _, _ = boxes[i]
         a, b = slots[k], slots[k + 1]
         slots[k], slots[k + 1] = b, a
         crossed[a][b] = crossed[b][a] = True
         mask |= 1 << bit
-        path.append(i)
+        path[depth] = i
+        depth += 1
         i += 1
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable
 
 from .grid import Box, pack, unpack
@@ -109,12 +111,15 @@ def transversal_dual(family: SetFamily) -> SetFamily:
     critical member is cut, so every node is a minimal transversal of
     the members it meets.
     """
-    members = family.masks
+    return SetFamily(family.n, _mmcs(family.masks, reduce(or_, family.masks, 0)))
+
+
+def _mmcs(members: tuple[int, ...], allowed: int) -> list[int]:
+    """The minimal transversals of the members that use only allowed
+    cells, by the search :func:`transversal_dual` describes."""
     # per cell: the members containing it, as a bit set over member indices
     holders: dict[int, int] = {}
-    allowed = 0
     for i, member in enumerate(members):
-        allowed |= member
         while member:
             cell = member & -member
             member ^= cell
@@ -145,7 +150,7 @@ def transversal_dual(family: SetFamily) -> SetFamily:
                 child = (chosen | cell, allowed, unmet & ~held, rest, tuple(still))
                 stack.append(child)
             allowed |= cell
-    return SetFamily(family.n, found)
+    return found
 
 
 def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
@@ -157,15 +162,18 @@ def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
     Berge's final round extends every minimal transversal of the other
     members that misses the last member by one cell of it, and keeps the
     minimal extensions, so its rejects are those extensions minus the
-    dual of the family.  Equal sizes go in mask order, so the last member
-    is the largest mask of the largest size.
+    dual of the family.  The transversals it extends are exactly the
+    minimal transversals of the other members that use no cell of the
+    last, so one search with those cells barred finds them.  Equal sizes
+    go in mask order, so the last member is the largest mask of the
+    largest size.
     """
     last = max(family.masks, key=lambda m: (m.bit_count(), m), default=0)
     dual = transversal_dual(family)
-    rest = SetFamily(family.n, (m for m in family.masks if m != last))
-    before = transversal_dual(rest)
+    rest = tuple(m for m in family.masks if m != last)
+    allowed = reduce(or_, rest, 0) & ~last  # the cells of last are barred
     cells = [1 << i for i in range(last.bit_length()) if last >> i & 1]
-    extended = {p | cell for p in before.masks if not p & last for cell in cells}
+    extended = {p | cell for p in _mmcs(rest, allowed) for cell in cells}
     return dual, SetFamily(family.n, extended.difference(dual.masks))
 
 

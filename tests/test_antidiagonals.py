@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +8,11 @@ from pipedual.antidiagonals import (
     Antidiagonal,
     antidiagonal_family,
     antidiagonals_in_rectangle,
+    essential_set,
 )
+from pipedual.grid import pack
 from pipedual.permutations import (
+    Permutation,
     all_permutations,
     identity,
     parse_permutation,
@@ -128,3 +132,57 @@ class TestFamily:
                 )
         raw = SetFamily.from_sets(4, union)
         assert minimalize(raw) == antidiagonal_family(w)
+
+
+def all_rectangles_family(w):
+    """The family from every rectangle [p] x [q], not just the essential
+    ones: the oracle for the essential-set construction."""
+    n = w.n
+    union = set()
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            size = 1 + rank(w, p, q)
+            union.update(
+                pack(n, a.boxes) for a in antidiagonals_in_rectangle(p, q, size)
+            )
+    return minimalize(SetFamily(n, union))
+
+
+def in_rothe_diagram(w, i, j):
+    n = w.n
+    return 1 <= i <= n and 1 <= j <= n and j < w(i) and i < w.inverse()(j)
+
+
+class TestEssentialSet:
+    def test_2143(self):
+        assert essential_set(parse_permutation("2143")) == ((1, 1), (3, 3))
+
+    def test_1432(self):
+        assert essential_set(parse_permutation("1432")) == ((2, 3), (3, 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_definition(self, n):
+        for w in all_permutations(n):
+            expected = tuple(
+                (p, q)
+                for p in range(1, n + 1)
+                for q in range(1, n + 1)
+                if in_rothe_diagram(w, p, q)
+                and not in_rothe_diagram(w, p + 1, q)
+                and not in_rothe_diagram(w, p, q + 1)
+            )
+            assert essential_set(w) == expected, str(w)
+
+
+class TestAllRectanglesOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_agrees_on_all_of_sn(self, n):
+        for w in all_permutations(n):
+            assert antidiagonal_family(w) == all_rectangles_family(w), str(w)
+
+    @pytest.mark.parametrize("n,seed", [(7, 7), (8, 8), (9, 9)])
+    def test_agrees_on_a_seeded_sample(self, n, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            w = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+            assert antidiagonal_family(w) == all_rectangles_family(w), str(w)

@@ -1,8 +1,10 @@
 import collections
+import functools
 import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from pipedual.permutations import (
     rank_matrix,
 )
 from pipedual.pipedreams import PipeDream, enumerate_rp
+from pipedual.schubert import Polynomial, schubert_polynomial
 from pipedual.transversals import (
     SetFamily,
     is_minimal_transversal,
@@ -48,6 +51,7 @@ from pipedual.verification import (
     verify_rank_antidiagonal_law,
     verify_theorem,
 )
+from test_schubert import schubert_by_divided_differences
 
 
 def dream_st(min_n=2, max_n=5):
@@ -359,6 +363,15 @@ class TestBeyondExhaustive:
         assert report.checks[CHECK_DUALITY].passed
         assert report.passed
 
+    @settings(max_examples=40, derandomize=True)
+    @given(short_permutation_st())
+    def test_schubert_oracle_agrees(self, w):
+        # the divided-difference oracle shares no code with enumerate_rp,
+        # so this checks its pruning past the exhaustive range
+        oracle = schubert_by_divided_differences(w)
+        assert Polynomial.from_dict(oracle) == schubert_polynomial(w)
+        assert sum(oracle.values()) == len(enumerate_rp(w))
+
 
 def _count_calls(monkeypatch, module, name, counts):
     original = getattr(module, name)
@@ -370,24 +383,34 @@ def _count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
-def _record_duals(monkeypatch):
-    """Count the families handed to the dualizer, from either module."""
-    dualized: collections.Counter = collections.Counter()
-    original = transversals.transversal_dual
+def _record_searches(monkeypatch):
+    """Count the MMCS searches, keyed by (members, allowed cells)."""
+    searches: collections.Counter = collections.Counter()
+    original = transversals._mmcs
 
-    def recorded(family):
-        dualized[family] += 1
-        return original(family)
+    def recorded(members, allowed):
+        searches[tuple(members), allowed] += 1
+        return original(members, allowed)
 
-    monkeypatch.setattr(transversals, "transversal_dual", recorded)
-    monkeypatch.setattr(verification, "transversal_dual", recorded)
-    return dualized
+    monkeypatch.setattr(transversals, "_mmcs", recorded)
+    return searches
 
 
-def _without_last(family):
-    # the member Berge's order takes last; the non-minimal stats dualize the rest
+def _union(masks):
+    return functools.reduce(operator.or_, masks, 0)
+
+
+def _dual_search(family):
+    # the search transversal_dual runs: every cell of the family allowed
+    return family.masks, _union(family.masks)
+
+
+def _reject_search(family):
+    # the member Berge's order takes last; the non-minimal stats search the
+    # rest for transversals that use no cell of it
     last = sorted(family.masks, key=int.bit_count)[-1]
-    return SetFamily(family.n, [m for m in family.masks if m != last])
+    rest = tuple(m for m in family.masks if m != last)
+    return rest, _union(rest) & ~last
 
 
 class TestSinglePass:
@@ -395,25 +418,34 @@ class TestSinglePass:
         counts: dict[str, int] = {}
         for name in ("enumerate_rp", "antidiagonal_family"):
             _count_calls(monkeypatch, verification, name, counts)
-        return counts, _record_duals(monkeypatch)
+        return counts, _record_searches(monkeypatch)
 
     def test_families_and_duals_computed_once(self, monkeypatch):
         w = parse_permutation("13254")
         rp, ad = enumerate_rp(w), antidiagonal_family(w)
-        counts, dualized = self._counted(monkeypatch)
+        counts, searches = self._counted(monkeypatch)
         assert verify_permutation(w).passed
         assert counts == {"enumerate_rp": 1, "antidiagonal_family": 1}
-        assert dualized == {rp: 1, ad: 1, _without_last(ad): 1}
+        assert searches == {
+            _dual_search(rp): 1,
+            _dual_search(ad): 1,
+            _reject_search(ad): 1,
+        }
 
     def test_third_dual_only_when_duality_fails(self, monkeypatch):
         w = parse_permutation("13254")
         rp, ad = enumerate_rp(w), antidiagonal_family(w)
         short = SetFamily.from_sets(rp.n, rp.members[1:])
         monkeypatch.setattr(verification, "enumerate_rp", lambda v: short)
-        _, dualized = self._counted(monkeypatch)
+        _, searches = self._counted(monkeypatch)
         report = verify_permutation(w)
         # dual(AD) == RP is dualized again only because it differs from short
-        assert dualized == {short: 1, ad: 1, _without_last(ad): 1, rp: 1}
+        assert searches == {
+            _dual_search(short): 1,
+            _dual_search(ad): 1,
+            _reject_search(ad): 1,
+            _dual_search(rp): 1,
+        }
         assert not report.checks[CHECK_DUALITY].passed
         assert report.checks[CHECK_DOUBLE_DUAL].passed
 
