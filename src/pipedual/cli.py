@@ -30,6 +30,7 @@ from .schubert import polynomial_to_json, polynomial_to_str, schubert_polynomial
 from .transversals import (
     FamilyFormatError,
     SetFamily,
+    _ordered_members,
     family_from_json,
     family_to_json,
     transversal_dual,
@@ -51,12 +52,11 @@ class _CliError(Exception):
         self.code = code
 
 
-def _format_member(member) -> str:
-    return "{" + ", ".join(f"({r},{c})" for (r, c) in member) + "}"
-
-
 def _family_text(family: SetFamily) -> str:
-    return "\n".join(_format_member(member) for member in family.members)
+    members = _ordered_members(
+        family, "({},{})".format, lambda boxes: "{" + ", ".join(boxes) + "}"
+    )
+    return "\n".join(members)
 
 
 def _print_family(family: SetFamily, fmt: str) -> None:

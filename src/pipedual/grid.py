@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Box = tuple[int, int]
 
@@ -27,15 +27,3 @@ def pack(n: int, boxes: Iterable[Box]) -> int:
     for (r, c) in boxes:
         mask |= 1 << ((r - 1) * n + (c - 1))
     return mask
-
-
-def unpack(n: int, masks: Iterable[int]) -> Iterator[tuple[Box, ...]]:
-    """Box tuples of the masks, sorted by (row, col); one shared tuple per box."""
-    cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
-    for mask in masks:
-        boxes = []
-        while mask:
-            low = mask & -mask
-            boxes.append(cells[low.bit_length() - 1])
-            mask ^= low
-        yield tuple(boxes)

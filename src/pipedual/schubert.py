@@ -11,6 +11,7 @@ renderings canonical.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -78,20 +79,22 @@ class Polynomial:
 
 def schubert_polynomial(w: Permutation) -> Polynomial:
     """Sum over the reduced pipe dreams of w of the monomials recording
-    the row index of every crossing tile.
+    the row index of every crossing tile.  A dream's exponent vector is
+    read off its mask as the popcount of each grid row.
 
     >>> from .permutations import parse_permutation
     >>> str(schubert_polynomial(parse_permutation("2143")))
     'x1^2 + x1*x2 + x1*x3'
     """
-    acc: dict[ExponentVector, int] = {}
-    for member in enumerate_rp(w).members:
-        exps = [0] * w.n
-        for (r, _c) in member:
-            exps[r - 1] += 1
-        key = normalize_exponents(exps)
-        acc[key] = acc.get(key, 0) + 1
-    return Polynomial.from_dict(acc)
+    n = w.n
+    full = (1 << n) - 1
+    rows = range(0, n * n, n)
+    return Polynomial.from_dict(
+        Counter(
+            tuple((mask >> shift & full).bit_count() for shift in rows)
+            for mask in enumerate_rp(w).masks
+        )
+    )
 
 
 def specialize_all_ones(poly: Polynomial) -> int:

@@ -12,12 +12,13 @@ it holds no pool of candidate transversals.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .grid import Box, pack, unpack
+from .grid import Box, pack
 
 
 class FamilyFormatError(ValueError):
@@ -53,7 +54,9 @@ class SetFamily:
 
     @property
     def members(self) -> tuple[tuple[Box, ...], ...]:
-        return tuple(sorted(unpack(self.n, self.masks)))
+        """The box sets in canonical order, in which every writer of the
+        family lists them (see :func:`_ordered_members`)."""
+        return tuple(_ordered_members(self, lambda r, c: (r, c), tuple))
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -62,7 +65,13 @@ class SetFamily:
         return iter(self.members)
 
     def __contains__(self, boxes) -> bool:
-        return tuple(sorted(set(boxes))) in set(self.members)
+        boxes = tuple(boxes)
+        # pack would alias a box off the grid, like (1, n + 1), onto one on it
+        if not all(1 <= r <= self.n and 1 <= c <= self.n for (r, c) in boxes):
+            return False
+        mask = pack(self.n, boxes)
+        i = bisect_left(self.masks, mask)
+        return i < len(self.masks) and self.masks[i] == mask
 
 
 def is_transversal(boxes: Iterable[Box], family: SetFamily) -> bool:
@@ -177,15 +186,53 @@ def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
     return dual, SetFamily(family.n, extended.difference(dual.masks))
 
 
+def _ordered_members(family: SetFamily, cell: Callable, join: Callable) -> list:
+    """The members of the family in canonical order (boxes by (row, col),
+    members lexicographically), each as ``join`` of the list of its boxes
+    written by ``cell(r, c)``.
+
+    A member's sort key is its cell indices in ascending bit order, each
+    as big-endian bytes of one fixed width, so comparing keys compares
+    box tuples, a prefix first.  Keys and boxes are written per nonempty
+    row from a cache keyed by (row, row bits), so a member costs one step
+    per row that holds a box, whatever the size of the grid.
+    """
+    n = family.n
+    full = (1 << n) - 1
+    width = ((n * n).bit_length() + 7) // 8
+    rows: dict[tuple[int, int], tuple[bytes, list]] = {}
+    keyed = []
+    for mask in family.masks:
+        keys, boxes = [], []
+        while mask:
+            r = ((mask & -mask).bit_length() - 1) // n
+            bits = mask >> r * n & full
+            mask ^= bits << r * n
+            if (piece := rows.get((r, bits))) is None:
+                cs = [c for c in range(bits.bit_length()) if bits >> c & 1]
+                piece = rows[r, bits] = (
+                    b"".join((r * n + c).to_bytes(width, "big") for c in cs),
+                    [cell(r + 1, c + 1) for c in cs],
+                )
+            keys.append(piece[0])
+            boxes += piece[1]
+        keyed.append((b"".join(keys), join(boxes)))
+    keyed.sort()  # masks are distinct, so no two keys tie
+    return [member for _key, member in keyed]
+
+
 def family_to_json_obj(family: SetFamily) -> dict:
-    return {
-        "n": family.n,
-        "members": [[[r, c] for (r, c) in member] for member in family.members],
-    }
+    """The family as the JSON object that :func:`family_to_json` writes."""
+    return json.loads(family_to_json(family))
 
 
 def family_to_json(family: SetFamily) -> str:
-    return json.dumps(family_to_json_obj(family), separators=(",", ":"))
+    """Canonical compact JSON, ``{"n":n,"members":[[[r,c],...],...]}``,
+    written straight from the masks."""
+    members = _ordered_members(
+        family, "[{},{}]".format, lambda boxes: f"[{','.join(boxes)}]"
+    )
+    return f'{{"n":{family.n},"members":[{",".join(members)}]}}'
 
 
 def family_from_json_obj(obj) -> SetFamily:

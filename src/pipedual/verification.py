@@ -26,7 +26,7 @@ from itertools import islice
 from math import factorial
 
 from .antidiagonals import antidiagonal_family
-from .grid import pack, staircase_boxes, unpack
+from .grid import pack, staircase_boxes
 from .permutations import (
     Permutation,
     all_permutations,
@@ -156,7 +156,7 @@ def _check_rank_antidiagonal(w: Permutation, rp: SetFamily) -> CheckResult:
     if not failures:
         return CheckResult(True)
     # the witness is the first offender in members order, not masks order
-    member = min(unpack(n, failures))
+    member = SetFamily(n, failures).members[0]
     rect = failures[pack(n, member)]
     return CheckResult(False, SetFamily.from_sets(n, [member, [rect]]))
 

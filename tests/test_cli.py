@@ -1,21 +1,30 @@
+import hashlib
+import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pipedual.cli import (
     EXIT_BAD_JSON,
     EXIT_BUDGET,
     EXIT_FAIL,
     EXIT_USAGE,
-    _format_member,
+    _family_text,
     build_parser,
     main,
 )
 from pipedual.permutations import identity
-from pipedual.transversals import SetFamily, family_from_json, family_to_json
+from pipedual.transversals import (
+    SetFamily,
+    family_from_json,
+    family_to_json,
+    family_to_json_obj,
+)
 from pipedual.verification import CheckResult, VerificationReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -25,6 +34,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _format_member(member) -> str:
+    return "{" + ", ".join(f"({r},{c})" for (r, c) in member) + "}"
 
 
 class TestRp:
@@ -261,6 +274,122 @@ class TestVerify:
         assert code == 0 and out == "{(1,1)}\n"
         code, out, _ = run_cli(capsys, "verify", "--n", "2", "--jobs", "1")
         assert code == 0 and out.endswith("2/2 permutations pass\n")
+
+
+# the writers as they were before they wrote from masks: every box tuple
+# built from a table of all n^2 cells, members sorted as tuples
+def _old_members(family):
+    n = family.n
+    cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
+    members = []
+    for mask in family.masks:
+        boxes = []
+        while mask:
+            low = mask & -mask
+            boxes.append(cells[low.bit_length() - 1])
+            mask ^= low
+        members.append(tuple(boxes))
+    return tuple(sorted(members))
+
+
+def _old_json_obj(family):
+    return {
+        "n": family.n,
+        "members": [[[r, c] for (r, c) in m] for m in _old_members(family)],
+    }
+
+
+def family_st():
+    def build(n):
+        box = st.tuples(st.integers(1, n), st.integers(1, n))
+        return st.frozensets(st.frozensets(box, max_size=6), max_size=8).map(
+            lambda sets: SetFamily.from_sets(n, sets)
+        )
+
+    # n = 300 puts cells past 65,535, so keys need three bytes a cell
+    return st.sampled_from([1, 2, 3, 5, 9, 17, 300]).flatmap(build)
+
+
+class TestMaskWriter:
+    @given(family_st())
+    @example(SetFamily.from_sets(3, [[(1, 1)], [(1, 1), (1, 2)]]))
+    @example(SetFamily.from_sets(3, [[(1, 1), (1, 2)], [(1, 1)], [(1, 1), (3, 1)]]))
+    @example(SetFamily.from_sets(2, [[], [(1, 1)], [(2, 2)]]))
+    @example(SetFamily.from_sets(1, [[]]))
+    @example(SetFamily.empty(4))
+    # on the 300 x 300 grid, (219, 136) is cell 65,535 and (219, 137) cell 65,536
+    @example(
+        SetFamily.from_sets(
+            300,
+            [
+                [(1, 1), (300, 300)],
+                [(1, 1), (219, 136)],
+                [(219, 137)],
+                [(1, 1)],
+                [(219, 136)],
+            ],
+        )
+    )
+    def test_matches_old_writers(self, family):
+        members = _old_members(family)
+        assert family.members == members
+        assert family_to_json_obj(family) == _old_json_obj(family)
+        assert family_to_json(family) == json.dumps(
+            _old_json_obj(family), separators=(",", ":")
+        )
+        assert _family_text(family) == "\n".join(_format_member(m) for m in members)
+
+
+class TestPinnedBytes:
+    """sha256 of the concatenated stdout of every family and polynomial
+    command in every format, recorded before the writers read masks."""
+
+    COMMANDS = [
+        ("rp", "text"),
+        ("rp", "json"),
+        ("rp", "ascii"),
+        ("ad", "text"),
+        ("ad", "json"),
+        ("dual", "text"),
+        ("dual", "json"),
+        ("schubert", "text"),
+        ("schubert", "json"),
+    ]
+    S5_SHA256 = "473ed4c43b6a26ed1574ea47df13dff4a1a99fded656cfd192280ae314c695c3"
+    LARGE = ["35281746", "16875342", "47268153", "937184265", "918573462", "148326579"]
+    LARGE_SHA256 = "7aa96b426fe3a2809a97226b423130180561d72fbf7b866e40ab04537baedde7"
+
+    def digest(self, capsys, perms):
+        digest = hashlib.sha256()
+        for w in perms:
+            for cmd, fmt in self.COMMANDS:
+                code, out, err = run_cli(capsys, cmd, w, "--format", fmt)
+                assert (code, err) == (0, "")
+                digest.update(out.encode())
+        return digest.hexdigest()
+
+    def test_all_of_s5(self, capsys):
+        perms = ["".join(map(str, p)) for p in itertools.permutations(range(1, 6))]
+        assert self.digest(capsys, perms) == self.S5_SHA256
+
+    def test_s8_and_s9(self, capsys):
+        assert self.digest(capsys, self.LARGE) == self.LARGE_SHA256
+
+
+def test_output_cost_follows_boxes_not_grid(capsys, tmp_path):
+    # two one-box members on the 2000 x 2000 grid: a table of every cell
+    # would take about 400 MB
+    path = tmp_path / "far.json"
+    path.write_text('{"n": 2000, "members": [[[1, 1]], [[2000, 2000]]]}')
+    tracemalloc.start()
+    try:
+        code = main(["dual", str(path), "--format", "json"])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out == '{"n":2000,"members":[[[1,1],[2000,2000]]]}\n'
+    assert peak < 50 * 2**20
 
 
 class TestEntryPoint:

@@ -32,6 +32,16 @@ def family_st(max_n=4, max_members=6, max_size=4):
     return st.integers(2, max_n).flatmap(build)
 
 
+def family_and_probe_st(n):
+    box = st.tuples(st.integers(1, n), st.integers(1, n))
+    family = st.lists(st.lists(box, max_size=4), max_size=6).map(
+        lambda sets: SetFamily.from_sets(n, sets)
+    )
+    # probes reach one past each edge of the grid
+    near = st.tuples(st.integers(0, n + 1), st.integers(0, n + 1))
+    return st.tuples(family, st.lists(near, max_size=4))
+
+
 def antichain_st(**kwargs):
     return family_st(**kwargs).map(minimalize)
 
@@ -50,6 +60,22 @@ class TestSetFamily:
         assert len(family) == 2
         assert [(1, 1)] in family
         assert list(family) == [((1, 1),), ((2, 2),)]
+
+    def test_off_grid_box_is_not_aliased(self):
+        # (1, 4) packs to the bit of (2, 1) on the 3 x 3 grid
+        family = SetFamily.from_sets(3, [[(2, 1)], [(1, 1), (2, 1)]])
+        assert [(2, 1)] in family
+        assert [(1, 4)] not in family
+        assert [(1, 1), (1, 4)] not in family
+        assert [(0, 1)] not in family
+
+    @given(st.integers(1, 4).flatmap(family_and_probe_st))
+    def test_contains_matches_member_lookup(self, case):
+        family, probe = case
+        old = tuple(sorted(set(probe))) in set(family.members)
+        assert (probe in family) == old
+        for member in family.members:
+            assert member in family and list(reversed(member)) * 2 in family
 
 
 def box_lists_st(max_n=9, max_members=6, max_size=6):
