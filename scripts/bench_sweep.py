@@ -27,6 +27,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+from pipedual.cli import _budget_seconds, _positive_int
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -79,9 +81,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--budget", type=float, default=None,
+    parser.add_argument("--n", type=_positive_int, required=True)
+    parser.add_argument("--jobs", type=_positive_int, default=1)
+    parser.add_argument("--budget", type=_budget_seconds, default=None,
                         help="passed to verify; its default is 600 s")
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="repository whose src/ is run (default: this one)")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .grid import Box, pack
-from .permutations import Permutation, rank_matrix
+from .permutations import Permutation, prefix_sets
 from .transversals import SetFamily, minimalize
 
 
@@ -73,17 +73,13 @@ def essential_set(w: Permutation) -> tuple[Box, ...]:
     >>> essential_set(Permutation((1, 4, 3, 2)))
     ((2, 3), (3, 2))
     """
-    n = w.n
-    images, inverse = w.images, w.inverse().images
-
-    def in_diagram(i: int, j: int) -> bool:
-        return i <= n and j <= n and j < images[i - 1] and i < inverse[j - 1]
-
+    # diagram row p: the columns left of w(p) whose one-entry lies below p
+    rows = [((1 << j - 1) - 1) & ~s for j, s in zip(w.images, prefix_sets(w))]
     return tuple(
         (p, q)
-        for p in range(1, n + 1)
-        for q in range(1, n + 1)
-        if in_diagram(p, q) and not in_diagram(p + 1, q) and not in_diagram(p, q + 1)
+        for p, (row, below) in enumerate(zip(rows, rows[1:] + [0]), 1)
+        for q in range(1, w.n + 1)
+        if (row & ~below & ~(row >> 1)) >> q - 1 & 1
     )
 
 
@@ -102,9 +98,9 @@ def antidiagonal_family(w: Permutation) -> SetFamily:
     1 + rank(w, p, q) <= min(p, q) and every essential rectangle holds one.
     """
     n = w.n
-    rm = rank_matrix(w)
+    prefix = prefix_sets(w)
     union: set[int] = set()
     for p, q in essential_set(w):
-        size = 1 + rm.entry(p, q)
+        size = 1 + (prefix[p - 1] & (1 << q) - 1).bit_count()
         union.update(pack(n, chain) for chain in _chains(1, p, q, size))
     return minimalize(SetFamily(n, union))

@@ -109,8 +109,8 @@ def _cmd_dual(args) -> int:
                 f"{token!r} is neither a permutation nor a readable file",
             )
         try:
-            family = family_from_json(path.read_text())
-        except FamilyFormatError as exc:
+            family = family_from_json(path.read_text(encoding="utf-8"))
+        except (FamilyFormatError, UnicodeDecodeError) as exc:
             raise _CliError(EXIT_BAD_JSON, str(exc)) from None
     _print_family(transversal_dual(family), args.format)
     return EXIT_OK

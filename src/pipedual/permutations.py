@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterator
 
 
@@ -104,19 +105,23 @@ class RankMatrix:
         return self.entries[p - 1][q - 1]
 
 
+def prefix_sets(w: Permutation) -> list[int]:
+    """The images w(1), ..., w(p) as a bit set, at index p - 1: bit q - 1
+    stands for q.  rank(w, p, q) is the number of its bits below bit q.
+
+    >>> [bin(s) for s in prefix_sets(parse_permutation("2143"))]
+    ['0b10', '0b11', '0b1011', '0b1111']
+    """
+    return list(itertools.accumulate((1 << j - 1 for j in w.images), or_))
+
+
 def rank_matrix(w: Permutation) -> RankMatrix:
-    """The full rank table of w, computed once by 2-D prefix sums."""
-    n = w.n
-    rows: list[tuple[int, ...]] = []
-    prev = [0] * (n + 1)
-    for p in range(1, n + 1):
-        cur = [0] * (n + 1)
-        jp = w.images[p - 1]
-        for q in range(1, n + 1):
-            cur[q] = cur[q - 1] + prev[q] - prev[q - 1] + (1 if jp == q else 0)
-        rows.append(tuple(cur[1:]))
-        prev = cur
-    return RankMatrix(n, tuple(rows))
+    """The full rank table of w, counted off its prefix sets."""
+    below = [(1 << q) - 1 for q in range(1, w.n + 1)]
+    return RankMatrix(
+        w.n,
+        tuple(tuple((s & m).bit_count() for m in below) for s in prefix_sets(w)),
+    )
 
 
 def rank(w: Permutation, p: int, q: int) -> int:

@@ -135,9 +135,12 @@ def enumerate_rp(w: Permutation) -> SetFamily:
     boxes below it and to its left.  In that order the west and south
     pipes of box (r, c) sit in the adjacent frontier slots r + c - 1 and
     r + c; a crossing swaps them (the transposition s_{r+c-1}) and an
-    elbow leaves them.  A branch is cut as soon as a pair of pipes would
-    cross twice, the crossing budget length(w) is exceeded, or the boxes
-    left cannot hold enough crossings.
+    elbow leaves them.  Pipes keep their order in the slots until they
+    cross, so two adjacent pipes have met at a crossing exactly when the
+    larger one sits in the lower-numbered slot, as :func:`reduced_traces`
+    also reads it.  A branch is cut as soon as a pair of pipes would cross
+    twice, the crossing budget length(w) is exceeded, or the boxes left
+    cannot hold enough crossings.
 
     Column c must leave w^-1(c) in slot c.  Its boxes touch ever lower
     slots, so that pipe can only move down, and a slot above the box in
@@ -162,8 +165,7 @@ def enumerate_rp(w: Permutation) -> SetFamily:
     end = len(boxes)
     slack = end - budget  # the elbows a dream of w has on the staircase
     slots = list(range(n + 1))  # slots[k]: the pipe in slot k (0 unused)
-    crossed = [[False] * (n + 1) for _ in range(n + 1)]  # pipes a, b crossed
-    path = [0] * budget  # path[:depth]: boxes crossed on the current branch
+    path = [0] * budget  # path[:depth]: crossing boxes of the current branch
     pending: list[tuple[int, int]] = []  # (box, depth there): crossings to try
     results: list[int] = []
     mask = i = depth = 0
@@ -179,7 +181,7 @@ def enumerate_rp(w: Permutation) -> SetFamily:
                 if (
                     depth < budget
                     and (b == want if top else a != want)
-                    and not crossed[a][b]
+                    and a < b
                 ):
                     pending.append((i, depth))
                 if a == want if top else b != want:
@@ -191,14 +193,10 @@ def enumerate_rp(w: Permutation) -> SetFamily:
         while depth > back:  # unwind the branch back to box i
             depth -= 1
             bit, k, _, _ = boxes[path[depth]]
-            a, b = slots[k], slots[k + 1]
-            slots[k], slots[k + 1] = b, a
-            crossed[a][b] = crossed[b][a] = False
+            slots[k], slots[k + 1] = slots[k + 1], slots[k]
             mask ^= 1 << bit
         bit, k, _, _ = boxes[i]
-        a, b = slots[k], slots[k + 1]
-        slots[k], slots[k + 1] = b, a
-        crossed[a][b] = crossed[b][a] = True
+        slots[k], slots[k + 1] = slots[k + 1], slots[k]
         mask |= 1 << bit
         path[depth] = i
         depth += 1

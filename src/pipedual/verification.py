@@ -33,7 +33,7 @@ from .permutations import (
     bruhat_geq,
     identity,
     length,
-    rank_matrix,
+    prefix_sets,
 )
 from .pipedreams import PipeDream, enumerate_rp, reduced_traces
 from .transversals import (
@@ -140,12 +140,9 @@ def _nonminimal_stats(rejected: SetFamily) -> dict[str, int]:
 
 def _check_rank_antidiagonal(w: Permutation, rp: SetFamily) -> CheckResult:
     n = w.n
-    # rank-matrix row p as _antidiagonal_steps gives a row: bit q - 1 is
-    # set iff rank(w, p, q) > rank(w, p, q - 1)
-    rank_steps = [
-        sum(1 << c for c, (left, here) in enumerate(zip((0, *row), row)) if here > left)
-        for row in rank_matrix(w).entries
-    ]
+    # rank row p as _antidiagonal_steps gives a row: bit q - 1 is set iff
+    # rank(w, p, q) > rank(w, p, q - 1), i.e. q is one of w(1), ..., w(p)
+    rank_steps = prefix_sets(w)
     # each offending mask -> its first failing (p, q) in row-major order
     failures: dict[int, tuple[int, int]] = {}
     for mask in rp.masks:

@@ -159,6 +159,15 @@ class TestDual:
         assert out == ""
         assert "outside" in err
 
+    def test_non_utf8_file_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b'\xff\xfe{"n": 2, "members": []}')
+        code, out, err = run_cli(capsys, "dual", str(path))
+        assert code == EXIT_BAD_JSON
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "utf-8" in err
+
     def test_unreadable_input_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "dual", str(tmp_path / "missing.json"))
         assert code == EXIT_USAGE

@@ -10,6 +10,7 @@ from pipedual.permutations import (
     identity,
     length,
     parse_permutation,
+    prefix_sets,
     rank,
     rank_matrix,
     reversal,
@@ -108,6 +109,21 @@ class TestRank:
             for q in range(1, w.n + 1):
                 assert 0 <= r.entry(p + 1, q) - r.entry(p, q) <= 1
                 assert 0 <= r.entry(q, p + 1) - r.entry(q, p) <= 1
+
+
+class TestPrefixSets:
+    # the oracles count images directly and share no code with prefix_sets
+    # or rank_matrix
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_against_direct_count(self, n):
+        for w in all_permutations(n):
+            sets, r = prefix_sets(w), rank_matrix(w)
+            for p in range(1, n + 1):
+                assert sets[p - 1] == sum(2 ** (j - 1) for j in w.images[:p])
+                for q in range(1, n + 1):
+                    assert r.entry(p, q) == sum(
+                        1 for i in range(p) if w.images[i] <= q
+                    )
 
 
 class TestLength:

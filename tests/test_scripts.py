@@ -70,3 +70,16 @@ class TestBenchSweep:
             assert run["stdout_sha256"] == hashlib.sha256(payload).hexdigest()
             assert run["wall_s"] > 0 and run["cpu_s"] > 0 and run["peak_rss_mb"] > 1
             assert run["commit"]
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--n", "0"), ("--jobs", "0"), ("--budget", "nan")]
+    )
+    def test_rejects_bad_flag_value(self, tmp_path, flag, value):
+        out = tmp_path / "bench.json"
+        proc = run_script(
+            "bench_sweep.py", "--n", "3", "--label", "bad", "--out", str(out),
+            flag, value,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert not out.exists()
