@@ -21,7 +21,7 @@ from pipedual.verification import verify_range
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=6)
+    parser.add_argument("--max-n", type=_positive_int, default=6)
     parser.add_argument("--budget", type=_budget_seconds, default=600.0,
                         help="per-group time budget in seconds")
     parser.add_argument("--jobs", type=_positive_int, default=1)

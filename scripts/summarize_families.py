@@ -13,13 +13,14 @@ import argparse
 import sys
 
 from pipedual.antidiagonals import antidiagonal_family
+from pipedual.cli import _positive_int
 from pipedual.permutations import all_permutations
 from pipedual.schubert import schubert_polynomial, specialize_all_ones
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=6)
+    parser.add_argument("--max-n", type=_positive_int, default=6)
     args = parser.parse_args()
 
     for n in range(1, args.max_n + 1):

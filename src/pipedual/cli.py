@@ -17,6 +17,7 @@ all completed permutations passing.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -174,6 +175,15 @@ def _budget_seconds(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parser()[0]
+
+
+def _jobs_default() -> str:
+    return os.environ.get("PD_JOBS") or "1"
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """A new parser and its verify --jobs action."""
     parser = argparse.ArgumentParser(
         prog="pipedual",
         description="Reduced pipe dreams, antidiagonal families, and their "
@@ -217,20 +227,27 @@ def build_parser() -> argparse.ArgumentParser:
         default=600.0,
         help="time budget in seconds (default 600)",
     )
-    verify.add_argument(
+    jobs = verify.add_argument(
         "--jobs",
         type=_positive_int,
-        default=os.environ.get("PD_JOBS") or "1",
+        default=_jobs_default(),
         help="worker processes (default $PD_JOBS or 1)",
     )
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, jobs
+
+
+# main parses with one parser per process and resets --jobs's default to
+# $PD_JOBS on every call; argparse sends a string default through the
+# action's type at parse time, so a bad $PD_JOBS fails as a bad --jobs
+_main_parser = functools.cache(_build_parser)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser, jobs = _main_parser()
+    jobs.default = _jobs_default()
     args = parser.parse_args(argv)
     if args.command == "verify" and args.n < 1:
         parser.error("--n must be at least 1")

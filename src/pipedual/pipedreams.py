@@ -120,87 +120,56 @@ def is_reduced(dream: PipeDream) -> bool:
     return all(pair.crossings <= 1 for pair in crossing_counts(dream))
 
 
-def _column_order(n: int) -> list[Box]:
-    """The staircase boxes column by column from the left, each column
-    from the bottom: the order in which the west and south pipes of box
-    (r, c) sit in the adjacent frontier slots r + c - 1 and r + c."""
-    return [(r, c) for c in range(1, n) for r in range(n - c, 0, -1)]
-
-
 def enumerate_rp(w: Permutation) -> SetFamily:
     """All reduced pipe dreams tracing to w, as a canonical family.
 
-    Depth-first search over the staircase boxes, column by column from the
-    left and each column from the bottom, so every box comes after the
-    boxes below it and to its left.  In that order the west and south
-    pipes of box (r, c) sit in the adjacent frontier slots r + c - 1 and
-    r + c; a crossing swaps them (the transposition s_{r+c-1}) and an
-    elbow leaves them.  Pipes keep their order in the slots until they
-    cross, so two adjacent pipes have met at a crossing exactly when the
-    larger one sits in the lower-numbered slot, as :func:`reduced_traces`
-    also reads it.  A branch is cut as soon as a pair of pipes would cross
-    twice, the crossing budget length(w) is exceeded, or the boxes left
-    cannot hold enough crossings.
+    Builds the dreams row by row from the top, working back from w.  The
+    west and south pipes of box (r, c) sit in the adjacent slots k and
+    k + 1, k = r + c - 1, and a crossing swaps them; read the other way,
+    slot c starts out holding w^-1(c), the pipe that exits at column c,
+    and each crossing undoes its swap.  Row r takes its boxes from the
+    right, slots k = n - 1 down to r, and undoes a swap only where
+    slots[k] > slots[k + 1]: pipes keep their order until they cross, so
+    that is the pair's one crossing, and every dream built is reduced.
 
-    Column c must leave w^-1(c) in slot c.  Its boxes touch ever lower
-    slots, so that pipe can only move down, and a slot above the box in
-    hand is never touched again in the column.  Hence at every box of
-    column c a crossing that would take w^-1(c) from the west slot up is
-    cut, and so is an elbow that would leave it in the south slot; at the
-    top box, whose west slot is c, w^-1(c) must be in one of the two.
+    Slot r is not touched below row r, so row r must leave pipe r there.
+    If pipe r sits in slot p, the crossings in slots r .. p - 1 are forced,
+    one in slot p is impossible, and each slot p + 1 .. n - 1 is a free
+    choice under the inversion rule.  Rows r + 1 .. n - 1 are the staircase
+    of S_{n-r} on slots r + 1 .. n, on which every order of the pipes left
+    there has a reduced pipe dream, so no branch dies (Bergeron and
+    Billey, "RC-graphs and Schubert polynomials", Experiment. Math. 1993).
+    Partial dreams that leave the same pipes in the same slots share their
+    completions: the frontier keys them by those pipes, and each row is
+    one loop over it.
 
-    The search walks forward taking elbows and keeps the crossings still
-    to try on an explicit stack, so its depth is not bounded by Python's
-    recursion limit (the staircase of S_n has n(n-1)/2 boxes).
+    >>> len(enumerate_rp(Permutation((1, 4, 3, 2))))
+    5
     """
     n = w.n
-    target = w.inverse().images  # target[c-1] must exit north at column c
-    budget = length(w)
-    # per box: its bit, its west slot, the pipe that must leave slot c at
-    # the top of its column c, and whether it is that top box
-    boxes = [
-        ((r - 1) * n + c - 1, r + c - 1, target[c - 1], r == 1)
-        for (r, c) in _column_order(n)
-    ]
-    end = len(boxes)
-    slack = end - budget  # the elbows a dream of w has on the staircase
-    slots = list(range(n + 1))  # slots[k]: the pipe in slot k (0 unused)
-    path = [0] * budget  # path[:depth]: crossing boxes of the current branch
-    pending: list[tuple[int, int]] = []  # (box, depth there): crossings to try
-    results: list[int] = []
-    mask = i = depth = 0
-    # walk forward taking each box as an elbow, leaving its crossing on
-    # pending; at a leaf or a dead end, resume the latest pending crossing
-    while True:
-        if i - depth <= slack:
-            if i == end:
-                results.append(mask)
-            else:
-                _, k, want, top = boxes[i]
-                a, b = slots[k], slots[k + 1]
-                if (
-                    depth < budget
-                    and (b == want if top else a != want)
-                    and a < b
-                ):
-                    pending.append((i, depth))
-                if a == want if top else b != want:
-                    i += 1
-                    continue
-        if not pending:
-            return SetFamily(n, results)
-        i, back = pending.pop()
-        while depth > back:  # unwind the branch back to box i
-            depth -= 1
-            bit, k, _, _ = boxes[path[depth]]
-            slots[k], slots[k + 1] = slots[k + 1], slots[k]
-            mask ^= 1 << bit
-        bit, k, _, _ = boxes[i]
-        slots[k], slots[k + 1] = slots[k + 1], slots[k]
-        mask |= 1 << bit
-        path[depth] = i
-        depth += 1
-        i += 1
+    # the pipes in slots r .. n before row r -> masks of rows 1 .. r - 1
+    frontier = {w.inverse().images: [0]}
+    for r in range(1, n):
+        first = (r - 1) * n  # the bit of box (r, 1), in slot r
+        below: dict[tuple[int, ...], list[int]] = {}
+        while frontier:
+            pipes, masks = frontier.popitem()
+            at = pipes.index(r)  # pipe r sits in slot p = r + at
+            head, tail = pipes[:at], pipes[at + 1:]
+            # the forced crossings in slots r .. p - 1, then the free ones
+            # from slot n - 1 down to p + 1, where tail[j] sits in slot p + 1 + j
+            rows = [(tail, ((1 << at) - 1) << first)]
+            for j in range(len(tail) - 2, -1, -1):
+                bit = 1 << (first + at + 1 + j)
+                for i in range(len(rows)):
+                    t, row = rows[i]
+                    if t[j] > t[j + 1]:
+                        rows.append((t[:j] + (t[j + 1], t[j]) + t[j + 2:], row | bit))
+            for t, row in rows:
+                below.setdefault(head + t, []).extend([mask | row for mask in masks])
+        frontier = below
+    [masks] = frontier.values()
+    return SetFamily(n, masks)
 
 
 def reduced_traces(n: int, masks: Iterable[int]) -> Iterator[tuple[int, ...] | None]:
@@ -208,15 +177,22 @@ def reduced_traces(n: int, masks: Iterable[int]) -> Iterator[tuple[int, ...] | N
     of its trace if it is a reduced pipe dream of the n x n grid, and None
     if it is not reduced or has a tile off the staircase.
 
-    Reads the crossings in :func:`enumerate_rp`'s box order, swapping
-    slots r + c - 1 and r + c at each; this is the pipe dream's word in
-    the triangular reduced word of the longest permutation (Knutson and
-    Miller, "Subword complexes in Coxeter groups", Adv. Math. 2004).
+    Reads the crossings column by column from the left, each column from
+    the bottom, forward from the identity, swapping slots r + c - 1 and
+    r + c at each; this is the pipe dream's word in the triangular reduced
+    word of the longest permutation (Knutson and Miller, "Subword
+    complexes in Coxeter groups", Adv. Math. 2004).  It shares no order
+    or state with the row-by-row :func:`enumerate_rp`, so it serves the
+    tests as an independent check of it.
     Pipes keep their order in the slots until they cross, so a crossing
     whose lower slot holds the larger pipe is the pair's second.  At the
     end slot c holds the pipe that exits at column c.
     """
-    boxes = [((r - 1) * n + c - 1, r + c - 1) for (r, c) in _column_order(n)]
+    boxes = [
+        ((r - 1) * n + c - 1, r + c - 1)
+        for c in range(1, n)
+        for r in range(n - c, 0, -1)
+    ]
     off_staircase = ~sum(1 << bit for bit, _ in boxes)
     for mask in masks:
         if mask & off_staircase:

@@ -25,7 +25,7 @@ from pipedual.transversals import (
     family_to_json,
     family_to_json_obj,
 )
-from pipedual.verification import CheckResult, VerificationReport
+from pipedual.verification import CheckResult, VerificationReport, verify_range
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -283,6 +283,21 @@ class TestVerify:
         assert code == 0 and out == "{(1,1)}\n"
         code, out, _ = run_cli(capsys, "verify", "--n", "2", "--jobs", "1")
         assert code == 0 and out.endswith("2/2 permutations pass\n")
+
+    def test_jobs_environment_read_on_every_call(self, capsys, monkeypatch):
+        # main keeps one parser per process; $PD_JOBS must not freeze in it
+        seen = []
+
+        def spy(n, budget_seconds, jobs):
+            seen.append(jobs)
+            return verify_range(n, budget_seconds=budget_seconds)
+
+        monkeypatch.setattr("pipedual.cli.verify_range", spy)
+        for value in ("3", "2", ""):
+            monkeypatch.setenv("PD_JOBS", value)
+            code, out, _ = run_cli(capsys, "verify", "--n", "2")
+            assert code == 0 and out.endswith("2/2 permutations pass\n")
+        assert seen == [3, 2, 1]
 
 
 # the writers as they were before they wrote from masks: every box tuple

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
+from rp_column_oracle import column_enumerate_rp
 
 from pipedual.grid import pack, staircase_boxes
 from pipedual.permutations import (
@@ -226,6 +227,51 @@ class TestEnumerate:
     def test_brute_force_cap(self):
         with pytest.raises(ValueError):
             enumerate_rp_bruteforce(identity(7))
+
+
+def _seeded_draws(seed, sizes, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        images = list(range(1, rng.choice(sizes) + 1))
+        rng.shuffle(images)
+        yield Permutation(tuple(images))
+
+
+class TestColumnOracle:
+    """The row-by-row construction against the column-order search in
+    ``rp_column_oracle.py``, and against the slot reading of
+    :func:`reduced_traces`."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_exhaustive(self, n):
+        for w in all_permutations(n):
+            assert enumerate_rp(w) == column_enumerate_rp(w), w
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_seeded_draws(self, n):
+        for w in _seeded_draws(n, [n], 20):
+            assert enumerate_rp(w) == column_enumerate_rp(w), w
+
+    def test_large_family(self):
+        w = parse_permutation("317529846")
+        rp = enumerate_rp(w)
+        assert len(rp) == 11564
+        assert rp == column_enumerate_rp(w)
+
+    @pytest.mark.parametrize(
+        "images", [tuple(range(1, 61)), (*range(1, 59), 60, 59)], ids=["identity", "s59"]
+    )
+    def test_n60(self, images):
+        w = Permutation(images)
+        assert enumerate_rp(w) == column_enumerate_rp(w)
+
+    def test_seeded_members_trace_to_w(self):
+        draws = list(_seeded_draws(910, [9, 10], 20))
+        assert {w.n for w in draws} == {9, 10}
+        for w in draws:
+            rp = enumerate_rp(w)
+            assert len(rp) > 0
+            assert set(reduced_traces(w.n, rp.masks)) == {w.images}, w
 
 
 class TestRenderAscii:

@@ -42,6 +42,13 @@ class TestRunFullVerification:
         assert proc.returncode == 2
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("value", ["-2", "0"])
+    def test_rejects_bad_max_n(self, value):
+        proc = run_script("run_full_verification.py", "--max-n", value)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--max-n" in proc.stderr
+
 
 class TestSummarizeFamilies:
     def test_small_summary(self):
@@ -49,6 +56,13 @@ class TestSummarizeFamilies:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("n=1\n")
         assert "n=3\n" in proc.stdout
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_rejects_bad_max_n(self, value):
+        proc = run_script("summarize_families.py", "--max-n", value)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--max-n" in proc.stderr
 
 
 class TestBenchSweep:
