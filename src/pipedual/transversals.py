@@ -15,7 +15,8 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from itertools import pairwise, starmap
+from operator import eq, or_
 from typing import Callable, Iterable
 
 from .grid import Box, pack
@@ -38,7 +39,9 @@ class SetFamily:
     masks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "masks", tuple(sorted(set(self.masks))))
+        masks = sorted(self.masks)
+        dup = any(starmap(eq, pairwise(masks)))  # a set only if there are any
+        object.__setattr__(self, "masks", tuple(sorted(set(masks)) if dup else masks))
 
     @staticmethod
     def from_sets(n: int, sets: Iterable[Iterable[Box]]) -> SetFamily:
@@ -123,16 +126,21 @@ def transversal_dual(family: SetFamily) -> SetFamily:
     return SetFamily(family.n, _mmcs(family.masks, reduce(or_, family.masks, 0)))
 
 
-def _mmcs(members: tuple[int, ...], allowed: int) -> list[int]:
-    """The minimal transversals of the members that use only allowed
-    cells, by the search :func:`transversal_dual` describes."""
-    # per cell: the members containing it, as a bit set over member indices
+def _holders(members: Iterable[int]) -> dict[int, int]:
+    """Per cell bit: the members holding it, as a bit set over indices."""
     holders: dict[int, int] = {}
     for i, member in enumerate(members):
         while member:
             cell = member & -member
             member ^= cell
             holders[cell] = holders.get(cell, 0) | 1 << i
+    return holders
+
+
+def _mmcs(members: tuple[int, ...], allowed: int) -> list[int]:
+    """The minimal transversals of the members that use only allowed
+    cells, by the search :func:`transversal_dual` describes."""
+    holders = _holders(members)
     found: list[int] = []
     stack = [(0, allowed, (1 << len(members)) - 1, members, ())]
     while stack:

@@ -38,6 +38,7 @@ from .permutations import (
 from .pipedreams import PipeDream, enumerate_rp, reduced_traces
 from .transversals import (
     SetFamily,
+    _holders,
     dual_with_nonminimal,
     family_from_json_obj,
     family_to_json_obj,
@@ -113,10 +114,28 @@ def _result_from_offenders(n: int, offenders: list[int]) -> CheckResult:
     return CheckResult(False, SetFamily(n, offenders))
 
 
-def _check_transversality(rp: SetFamily, ad: SetFamily) -> CheckResult:
-    return _result_from_offenders(
-        rp.n, [m for m in rp.masks if not all(m & a for a in ad.masks)]
-    )
+def _check_transversality(rp: SetFamily, ad: SetFamily) -> tuple[CheckResult, bool]:
+    """The transversality check, and whether each member a of AD is then a
+    minimal transversal of RP: each cell of a has a private RP member."""
+    holders, full = _holders(rp.masks), (1 << len(rp.masks)) - 1
+    missed, private = 0, True
+    for a in ad.masks:
+        held = [holders.get(1 << i, 0) for i in range(a.bit_length()) if a >> i & 1]
+        once = twice = 0
+        for h in held:
+            twice |= once & h
+            once |= h
+        missed |= full & ~once
+        private = private and all(h & ~twice for h in held)
+    offenders = [m for i, m in enumerate(rp.masks) if missed >> i & 1]
+    return _result_from_offenders(rp.n, offenders), private and not offenders
+
+
+def _dual_rp(
+    rp: SetFamily, ad: SetFamily, dual_ad: SetFamily, minimal: bool
+) -> SetFamily:
+    """AD when the certificate of verify_permutation holds, else MMCS on RP."""
+    return ad if minimal and dual_ad == rp else transversal_dual(rp)
 
 
 def _check_dual_reducedness(w: Permutation, dual_ad: SetFamily) -> CheckResult:
@@ -184,14 +203,16 @@ def verify_theorem(w: Permutation) -> VerificationReport:
     pipe dreams, and dualizing those yields the family back."""
     rp = enumerate_rp(w)
     ad = antidiagonal_family(w)
-    result = _check_duality(rp, ad, transversal_dual(ad), transversal_dual(rp))
+    dual_ad = transversal_dual(ad)
+    dual_rp = _dual_rp(rp, ad, dual_ad, _check_transversality(rp, ad)[1])
+    result = _check_duality(rp, ad, dual_ad, dual_rp)
     return VerificationReport(w, {CHECK_DUALITY: result}, _off_staircase_stats(ad))
 
 
 def verify_claim1(w: Permutation) -> VerificationReport:
     """Check that every reduced pipe dream of w meets every member of the
     antidiagonal family of w."""
-    result = _check_transversality(enumerate_rp(w), antidiagonal_family(w))
+    result, _minimal = _check_transversality(enumerate_rp(w), antidiagonal_family(w))
     return VerificationReport(w, {CHECK_TRANSVERSALITY: result})
 
 
@@ -303,15 +324,26 @@ def verify_bruhat_oracle(n: int) -> VerificationReport:
 
 def verify_permutation(w: Permutation) -> VerificationReport:
     """Run every per-permutation check, supporting claims first, in one
-    pass: RP(w), AD(w) and their duals are each computed once."""
+    pass: RP(w), AD(w) and their duals are each computed once.
+
+    dual(RP) is certified, not searched for (Fredman and Khachiyan 1996;
+    Eiter and Gottlob 1995).  Let A = AD(w), R = RP(w) and suppose (a)
+    every a in A meets every r in R, (b) dual(A) = R, and (c) each cell
+    of each a has a private member of R, one meeting a there alone.
+    Then dual(R) = A.  By (a) and (c), each a is a minimal transversal
+    of R.  If a minimal transversal t of R contained no a, its complement
+    would meet every a, so hold a member of dual(A) = R that t misses.
+    So t contains some a, and t = a by minimality.  If (a), (b) or (c)
+    fails, MMCS computes dual(R)."""
     rp = enumerate_rp(w)
     ad = antidiagonal_family(w)
     dual_ad, rejected = dual_with_nonminimal(ad)
-    dual_rp = transversal_dual(rp)
+    transversality, minimal = _check_transversality(rp, ad)
+    dual_rp = _dual_rp(rp, ad, dual_ad, minimal)
     # dual(AD) == RP makes dual(dual(AD)) exactly dual(RP)
     twice = dual_rp if dual_ad == rp else transversal_dual(dual_ad)
     checks = {
-        CHECK_TRANSVERSALITY: _check_transversality(rp, ad),
+        CHECK_TRANSVERSALITY: transversality,
         CHECK_DUAL_REDUCEDNESS: _check_dual_reducedness(w, dual_ad),
         CHECK_RANK_ANTIDIAGONAL: _check_rank_antidiagonal(w, rp),
         CHECK_DOUBLE_DUAL: _check_double_dual(ad, twice),

@@ -81,8 +81,7 @@ class TestRp:
         assert out == ""
         assert "non-numeric token" in err
 
-    # the search visits all 1,770 staircase boxes of S_60 on one branch,
-    # deeper than Python's default recursion limit
+    # the n = 60 cases guard against a recursive row loop in enumerate_rp
     def test_identity_at_n60(self, capsys):
         code, out, err = run_cli(capsys, "rp", ",".join(map(str, range(1, 61))))
         assert (code, out, err) == (0, "{}\n", "")

@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -76,6 +78,33 @@ class TestSetFamily:
         assert (probe in family) == old
         for member in family.members:
             assert member in family and list(reversed(member)) * 2 in family
+
+
+class TestCanonicalMasks:
+    @given(st.lists(st.integers(0, 2**81 - 1), max_size=12))
+    @example([5, 3, 9, 3, 1, 9])
+    @example([7, 7])
+    def test_unsorted_duplicated_and_generator_input(self, masks):
+        canonical = tuple(sorted(set(masks)))
+        assert SetFamily(9, masks).masks == canonical
+        assert SetFamily(9, tuple(reversed(masks))).masks == canonical
+        assert SetFamily(9, (m for m in masks)).masks == canonical
+        assert SetFamily(9, masks + masks).masks == canonical
+        assert SetFamily(9, canonical) == SetFamily(9, masks)
+
+    def test_distinct_masks_build_no_set(self):
+        # 100,000 distinct masks: the sorted list and the tuple hold about
+        # 0.8 MB each, and a set of them would add about 4.7 MB
+        masks = list(range(1 << 20, (1 << 20) + 300_000, 3))
+        random.Random(0).shuffle(masks)
+        tracemalloc.start()
+        try:
+            family = SetFamily(9, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert family.masks == tuple(sorted(masks))
+        assert peak < 2_500_000
 
 
 def box_lists_st(max_n=9, max_members=6, max_size=6):

@@ -27,11 +27,13 @@ from pipedual.schubert import Polynomial, schubert_polynomial
 from pipedual.transversals import (
     SetFamily,
     is_minimal_transversal,
+    is_transversal,
     transversal_dual,
 )
 from pipedual.verification import (
     ALL_CHECKS,
     CHECK_DOUBLE_DUAL,
+    CHECK_DUAL_REDUCEDNESS,
     CHECK_DUALITY,
     CHECK_RANK_ANTIDIAGONAL,
     CHECK_TRANSVERSALITY,
@@ -426,8 +428,8 @@ class TestSinglePass:
         counts, searches = self._counted(monkeypatch)
         assert verify_permutation(w).passed
         assert counts == {"enumerate_rp": 1, "antidiagonal_family": 1}
+        # dual(RP) = AD is certified, so RP is never searched
         assert searches == {
-            _dual_search(rp): 1,
             _dual_search(ad): 1,
             _reject_search(ad): 1,
         }
@@ -468,6 +470,125 @@ class TestSinglePass:
                 "reduced_nonminimal_transversals",
                 "antidiagonals_off_staircase",
             ]
+
+
+def certified(rp, ad):
+    """Whether verify_permutation's certificate gives dual(RP) = AD
+    without a search on RP."""
+    minimal = verification._check_transversality(rp, ad)[1]
+    return verification._dual_rp(rp, ad, transversal_dual(ad), minimal) is ad
+
+
+def pairwise_transversality(rp, ad):
+    # the transversality check before the per-cell table, kept verbatim
+    return verification._result_from_offenders(
+        rp.n, [m for m in rp.masks if not all(m & a for a in ad.masks)]
+    )
+
+
+def reference_single_pass(w, rp, ad):
+    """verify_permutation before the certificate, kept as the reference:
+    it always dualizes RP by MMCS."""
+    dual_ad, rejected = transversals.dual_with_nonminimal(ad)
+    dual_rp = transversal_dual(rp)
+    twice = dual_rp if dual_ad == rp else transversal_dual(dual_ad)
+    checks = {
+        CHECK_TRANSVERSALITY: pairwise_transversality(rp, ad),
+        CHECK_DUAL_REDUCEDNESS: verification._check_dual_reducedness(w, dual_ad),
+        CHECK_RANK_ANTIDIAGONAL: verification._check_rank_antidiagonal(w, rp),
+        CHECK_DOUBLE_DUAL: verification._check_double_dual(ad, twice),
+        CHECK_DUALITY: verification._check_duality(rp, ad, dual_ad, dual_rp),
+    }
+    stats = {
+        **verification._nonminimal_stats(rejected),
+        **verification._off_staircase_stats(ad),
+    }
+    return VerificationReport(w, checks, stats)
+
+
+def corrupted_pairs(w, rng):
+    """(kind, RP, AD) with one family of w corrupted, so that dual(RP) is
+    no longer AD; w must not be the identity, whose AD is empty."""
+    n = w.n
+    rp, ad = enumerate_rp(w), antidiagonal_family(w)
+    cells = [1 << i for i in range(n * n)]
+    a = rng.choice(ad.masks)
+    outside = [c for c in cells if not c & a]
+    x = rng.choice([c for c in cells if c & a])
+    dropped = rng.choice(rp.masks)
+    extra = next(
+        e
+        for e in iter(lambda: sum(rng.sample(cells, rng.randint(1, 3))), None)
+        if e not in ad.masks
+    )
+    yield "drop_rp", SetFamily(n, set(rp.masks) - {dropped}), ad
+    yield "nonminimal_ad", rp, SetFamily(n, ad.masks + (a | rng.choice(outside),))
+    yield "extra_ad", rp, SetFamily(n, ad.masks + (extra,))
+    moved = a ^ x | rng.choice(outside)
+    yield "moved_cell", rp, SetFamily(n, set(ad.masks) - {a} | {moved})
+
+
+def seeded_draws(n, count):
+    rng = random.Random(n)
+    return [Permutation(tuple(rng.sample(range(1, n + 1), n))) for _ in range(count)]
+
+
+class TestCertificate:
+    """The certificate of verify_permutation against MMCS on RP."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_holds_exactly_when_mmcs_agrees_on_sn(self, n):
+        for w in all_permutations(n):
+            rp, ad = enumerate_rp(w), antidiagonal_family(w)
+            mmcs_agrees = transversal_dual(rp) == ad
+            assert certified(rp, ad) == mmcs_agrees
+            assert mmcs_agrees
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_holds_exactly_when_mmcs_agrees_on_seeded_draws(self, n):
+        for w in seeded_draws(n, 20):
+            rp, ad = enumerate_rp(w), antidiagonal_family(w)
+            mmcs_agrees = transversal_dual(rp) == ad
+            assert certified(rp, ad) == mmcs_agrees
+            assert mmcs_agrees
+
+    def _corrupted_cases(self):
+        rng = random.Random(2024)
+        for n in (4, 5, 6, 7):
+            for w in seeded_draws(n, 8):
+                if w != identity(n):
+                    for kind, rp, ad in corrupted_pairs(w, rng):
+                        yield w, kind, rp, ad
+
+    def test_fails_on_corrupted_pairs_and_falls_back(self, monkeypatch):
+        kinds = collections.Counter()
+        for w, kind, rp, ad in self._corrupted_cases():
+            assert not certified(rp, ad)
+            assert transversal_dual(rp) != ad
+            with monkeypatch.context() as patch:
+                patch.setattr(verification, "enumerate_rp", lambda v: rp)
+                patch.setattr(verification, "antidiagonal_family", lambda v: ad)
+                searches = _record_searches(patch)
+                report = verify_permutation(w)
+            assert searches[_dual_search(rp)] >= 1, kind
+            assert report == reference_single_pass(w, rp, ad), kind
+            assert not report.checks[CHECK_DUALITY].passed
+            kinds[kind] += 1
+        assert sorted(kinds) == ["drop_rp", "extra_ad", "moved_cell", "nonminimal_ad"]
+        assert min(kinds.values()) >= 20
+
+    def test_transversality_offenders_match_the_pairwise_loop(self):
+        failing = 0
+        for _w, kind, rp, ad in self._corrupted_cases():
+            table = verification._check_transversality(rp, ad)[0]
+            assert table == pairwise_transversality(rp, ad), kind
+            offenders = [m for m in rp.members if not is_transversal(m, ad)]
+            if offenders:
+                assert table == CheckResult(False, SetFamily.from_sets(rp.n, offenders))
+            else:
+                assert table == CheckResult(True)
+            failing += not table.passed
+        assert failing >= 20
 
 
 class TestReports:
