@@ -14,9 +14,17 @@ Usage:
 
 import argparse
 import sys
+import time
+from math import factorial
 
 from pipedual.cli import _budget_seconds, _positive_int
-from pipedual.verification import verify_range
+from pipedual.verification import iter_verify
+
+STATS = (
+    "nonminimal_transversals_seen",
+    "reduced_nonminimal_transversals",
+    "antidiagonals_off_staircase",
+)
 
 
 def main() -> int:
@@ -35,30 +43,30 @@ def main() -> int:
     print("-" * len(header))
     failures = 0
     for n in range(1, args.max_n + 1):
-        run = verify_range(n, budget_seconds=args.budget, jobs=args.jobs)
-        nonmin = sum(
-            r.stats.get("nonminimal_transversals_seen", 0) for r in run.reports
-        )
-        reduced_nonmin = sum(
-            r.stats.get("reduced_nonminimal_transversals", 0) for r in run.reports
-        )
-        off_staircase = sum(
-            r.stats.get("antidiagonals_off_staircase", 0) for r in run.reports
-        )
-        note = " (budget exhausted)" if run.exhausted else ""
-        print(
-            f"{n:>2}  {len(run.reports):>7}  {run.passed_count:>6}  "
-            f"{run.elapsed:>7.1f}s  {nonmin:>6}  {reduced_nonmin:>14}  "
-            f"{off_staircase:>13}{note}"
-        )
-        failures += len(run.reports) - run.passed_count
-        for report in run.reports:
+        # counts are summed as reports arrive; no report is kept
+        start = time.monotonic()
+        checked = passed = 0
+        totals = dict.fromkeys(STATS, 0)
+        for report in iter_verify(n, budget_seconds=args.budget, jobs=args.jobs):
+            checked += 1
+            passed += report.passed
+            for name in STATS:
+                totals[name] += report.stats.get(name, 0)
             if not report.passed:
                 print(
                     f"   FAIL {report.permutation}: "
                     f"{', '.join(report.failed_checks())}",
                     file=sys.stderr,
                 )
+        elapsed = time.monotonic() - start
+        nonmin, reduced_nonmin, off_staircase = totals.values()
+        note = " (budget exhausted)" if checked < factorial(n) else ""
+        print(
+            f"{n:>2}  {checked:>7}  {passed:>6}  "
+            f"{elapsed:>7.1f}s  {nonmin:>6}  {reduced_nonmin:>14}  "
+            f"{off_staircase:>13}{note}"
+        )
+        failures += checked - passed
     return 1 if failures else 0
 
 

@@ -52,6 +52,7 @@ from .transversals import (
 from .verification import (
     VerificationReport,
     VerificationRun,
+    iter_verify,
     max_elbow_antidiagonal,
     verify_bruhat_oracle,
     verify_claim1,
@@ -90,6 +91,7 @@ __all__ = [
     "is_minimal_transversal",
     "is_reduced",
     "is_transversal",
+    "iter_verify",
     "length",
     "max_elbow_antidiagonal",
     "minimalize",

@@ -21,6 +21,7 @@ import functools
 import math
 import os
 import sys
+import time
 from pathlib import Path
 from typing import Sequence
 
@@ -36,7 +37,7 @@ from .transversals import (
     family_to_json,
     transversal_dual,
 )
-from .verification import reports_to_json, verify_range
+from .verification import iter_verify, report_to_json
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -128,26 +129,35 @@ def _cmd_schubert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    run = verify_range(args.n, budget_seconds=args.budget, jobs=args.jobs)
-    if args.format == "json":
-        print(reports_to_json(run.reports))
+    # each report is written as it arrives; none is kept
+    start = time.monotonic()
+    checked = passed = 0
+    json_out = args.format == "json"
+    if json_out:
+        sys.stdout.write("[")
+    for report in iter_verify(args.n, budget_seconds=args.budget, jobs=args.jobs):
+        if json_out:
+            sys.stdout.write(("," if checked else "") + report_to_json(report))
+        elif report.passed:
+            print(f"{report.permutation} ok")
+        else:
+            print(f"{report.permutation} FAIL: {', '.join(report.failed_checks())}")
+        checked += 1
+        passed += report.passed
+    if json_out:
+        sys.stdout.write("]\n")
     else:
-        for report in run.reports:
-            if report.passed:
-                print(f"{report.permutation} ok")
-            else:
-                print(f"{report.permutation} FAIL: {', '.join(report.failed_checks())}")
-        print(f"{run.passed_count}/{len(run.reports)} permutations pass")
-    failures = run.passed_count < len(run.reports)
-    if run.exhausted:
+        print(f"{passed}/{checked} permutations pass")
+    exhausted = checked < math.factorial(args.n)
+    if exhausted:
         print(
-            f"budget exhausted after {run.elapsed:.1f}s: "
-            f"{len(run.reports)} of S_{run.n} checked",
+            f"budget exhausted after {time.monotonic() - start:.1f}s: "
+            f"{checked} of S_{args.n} checked",
             file=sys.stderr,
         )
-    if failures:
+    if passed < checked:
         return EXIT_FAIL
-    if run.exhausted:
+    if exhausted:
         return EXIT_BUDGET
     return EXIT_OK
 

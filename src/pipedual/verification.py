@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
@@ -64,9 +65,11 @@ ALL_CHECKS = (
 
 BRUHAT_ORACLE_MAX_N = 5
 
-# permutations per worker task in a parallel sweep: small, so that a spent
-# budget stops the sweep within about one chunk's time
-CHUNK_SIZE = 2
+# permutations per worker task in a parallel sweep.  Each task costs the
+# main process one round trip, so tasks are large; the budget does not
+# need them small, since a worker checks the deadline before each
+# permutation and returns a short chunk once it has passed
+CHUNK_SIZE = 32
 
 
 @dataclass
@@ -354,47 +357,70 @@ def verify_permutation(w: Permutation) -> VerificationReport:
     )
 
 
-def _verify_chunk(chunk: tuple[tuple[int, ...], ...]) -> list[VerificationReport]:
-    return [verify_permutation(Permutation(images)) for images in chunk]
+def _verify_each(
+    perms: Iterable[Permutation], deadline: float | None
+) -> Iterator[VerificationReport]:
+    """verify_permutation on each of perms, until the deadline passes."""
+    for w in perms:
+        if deadline is not None and time.monotonic() >= deadline:
+            return
+        yield verify_permutation(w)
+
+
+def _verify_chunk(
+    chunk: tuple[tuple[int, ...], ...], deadline: float | None
+) -> list[VerificationReport]:
+    # time.monotonic is system-wide, so the parent's deadline holds here
+    return list(_verify_each(map(Permutation, chunk), deadline))
+
+
+def iter_verify(
+    n: int, budget_seconds: float | None = None, jobs: int = 1
+) -> Iterator[VerificationReport]:
+    """Yield the report of every permutation of S_n in lexicographic
+    order, stopping once the time budget is spent; a permutation is
+    started only before the deadline.
+
+    With jobs > 1 the permutations go to worker processes in chunks of
+    CHUNK_SIZE, at most 2 * jobs of them in flight.  Chunks are yielded in
+    submission order, and the sweep stops after the first chunk that comes
+    back short.  Closing the generator early shuts the pool down."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+    if jobs <= 1:
+        yield from _verify_each(all_permutations(n), deadline)
+        return
+    images = (w.images for w in all_permutations(n))
+    chunks = iter(lambda: tuple(islice(images, CHUNK_SIZE)), ())
+    pool = ProcessPoolExecutor(max_workers=jobs)
+
+    def submit(chunk):
+        return len(chunk), pool.submit(_verify_chunk, chunk, deadline)
+
+    try:
+        window = deque(map(submit, islice(chunks, 2 * jobs)))
+        while window:
+            size, future = window.popleft()
+            reports = future.result()
+            if len(reports) < size:
+                yield from reports
+                return
+            window.extend(map(submit, islice(chunks, 1)))
+            yield from reports
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def verify_range(
     n: int, budget_seconds: float | None = None, jobs: int = 1
 ) -> VerificationRun:
     """Run the full check suite for every permutation of S_n in
-    lexicographic order.  Stops early, keeping the finished prefix, once
-    the time budget is exceeded; budget exhaustion is a status, not an
-    error.  With jobs > 1 the permutations go to worker processes in small
-    chunks, at most 2 * jobs of them in flight; chunks are collected in
-    submission order, so reports stay in lexicographic order, and the
-    budget is checked after every chunk."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    lexicographic order: iter_verify's reports, collected.  Stops early,
+    keeping the finished prefix, once the time budget is spent; budget
+    exhaustion is a status, not an error."""
     start = time.monotonic()
-    deadline = None if budget_seconds is None else start + budget_seconds
-
-    def out_of_time() -> bool:
-        return deadline is not None and time.monotonic() > deadline
-
-    reports: list[VerificationReport] = []
-    if jobs <= 1:
-        for w in all_permutations(n):
-            if out_of_time():
-                break
-            reports.append(verify_permutation(w))
-    else:
-        images = (w.images for w in all_permutations(n))
-        chunks = iter(lambda: tuple(islice(images, CHUNK_SIZE)), ())
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            window = deque(
-                pool.submit(_verify_chunk, chunk) for chunk in islice(chunks, 2 * jobs)
-            )
-            while window and not out_of_time():
-                reports.extend(window.popleft().result())
-                chunk = next(chunks, None)
-                if chunk is not None:
-                    window.append(pool.submit(_verify_chunk, chunk))
-            pool.shutdown(wait=True, cancel_futures=True)
+    reports = list(iter_verify(n, budget_seconds, jobs))
     exhausted = len(reports) < factorial(n)
     return VerificationRun(n, reports, exhausted, time.monotonic() - start)
 
@@ -432,10 +458,12 @@ def report_from_json_obj(obj: dict) -> VerificationReport:
     )
 
 
-def reports_to_json(reports: list[VerificationReport]) -> str:
-    return json.dumps(
-        [report_to_json_obj(r) for r in reports], separators=(",", ":")
-    )
+def report_to_json(report: VerificationReport) -> str:
+    return json.dumps(report_to_json_obj(report), separators=(",", ":"))
+
+
+def reports_to_json(reports: Iterable[VerificationReport]) -> str:
+    return "[" + ",".join(map(report_to_json, reports)) + "]"
 
 
 def reports_from_json(text: str) -> list[VerificationReport]:

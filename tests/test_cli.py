@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -25,7 +26,13 @@ from pipedual.transversals import (
     family_to_json,
     family_to_json_obj,
 )
-from pipedual.verification import CheckResult, VerificationReport, verify_range
+from pipedual.verification import (
+    CheckResult,
+    VerificationReport,
+    iter_verify,
+    reports_to_json,
+    verify_range,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -289,14 +296,53 @@ class TestVerify:
 
         def spy(n, budget_seconds, jobs):
             seen.append(jobs)
-            return verify_range(n, budget_seconds=budget_seconds)
+            return iter_verify(n, budget_seconds=budget_seconds)
 
-        monkeypatch.setattr("pipedual.cli.verify_range", spy)
+        monkeypatch.setattr("pipedual.cli.iter_verify", spy)
         for value in ("3", "2", ""):
             monkeypatch.setenv("PD_JOBS", value)
             code, out, _ = run_cli(capsys, "verify", "--n", "2")
             assert code == 0 and out.endswith("2/2 permutations pass\n")
         assert seen == [3, 2, 1]
+
+
+@functools.cache
+def _collected_json(n):
+    return reports_to_json(verify_range(n).reports) + "\n"
+
+
+class TestStreamedVerify:
+    """verify writes each report as it arrives; its bytes are those of the
+    writer over a collected run."""
+
+    # sha256 of `pipedual verify --n 6 --format text` stdout, recorded
+    # while the CLI still collected every report before printing
+    S6_TEXT_SHA256 = "d2a9e2f7a644cfb683c2a4eaa6d952c6ef8b3a77726abeef0a8df6363a4e77b0"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_json_equals_the_collected_writer(self, capsys, n, jobs):
+        code, out, err = run_cli(
+            capsys, "verify", "--n", str(n), "--jobs", jobs, "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert out == _collected_json(n)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_zero_budget_prints_an_empty_array(self, capsys, jobs):
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "6", "--jobs", jobs, "--budget", "0",
+            "--format", "json",
+        )
+        assert code == EXIT_BUDGET
+        assert out == "[]\n"
+        assert "0 of S_6 checked" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_s6_text_is_pinned(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "verify", "--n", "6", "--jobs", jobs)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.S6_TEXT_SHA256
 
 
 # the writers as they were before they wrote from masks: every box tuple

@@ -36,6 +36,26 @@ class TestRunFullVerification:
         assert lines[0].split()[:3] == ["n", "checked", "passed"]
         assert len(lines) == 2 + 3
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_columns_are_sums_over_verify_range(self, jobs):
+        proc = run_script("run_full_verification.py", "--max-n", "5", "--jobs", jobs)
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+        assert len(rows) == 5
+        for n, row in enumerate(rows, 1):
+            reports = verify_range(n).reports
+            stats = [
+                sum(r.stats[name] for r in reports)
+                for name in (
+                    "nonminimal_transversals_seen",
+                    "reduced_nonminimal_transversals",
+                    "antidiagonals_off_staircase",
+                )
+            ]
+            counts = [n, len(reports), sum(r.passed for r in reports), *stats]
+            # n, checked, passed, time, then the three stats columns
+            assert row[:3] + row[4:] == [str(x) for x in counts]
+
     @pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--budget", "nan")])
     def test_rejects_bad_flag_value(self, flag, value):
         proc = run_script("run_full_verification.py", "--max-n", "3", flag, value)

@@ -4,8 +4,10 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import operator
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +41,8 @@ from pipedual.verification import (
     CHECK_TRANSVERSALITY,
     CheckResult,
     VerificationReport,
+    _verify_chunk,
+    iter_verify,
     max_elbow_antidiagonal,
     report_from_json_obj,
     report_to_json_obj,
@@ -283,6 +287,15 @@ class TestBruhatOracle:
             verify_bruhat_oracle(6)
 
 
+S5_IMAGES = [w.images for w in all_permutations(5)]
+
+
+def _deadline_before_41st(chunk, deadline):
+    """A worker's chunk as if the deadline passed just before the 41st
+    permutation of S_5: the second chunk comes back short."""
+    return [verify_permutation(Permutation(w)) for w in chunk if w < S5_IMAGES[40]]
+
+
 class TestVerifyRange:
     def test_single_permutation(self):
         run = verify_range(1)
@@ -326,6 +339,33 @@ class TestVerifyRange:
         assert run.elapsed < 3
         images = [r.permutation.images for r in run.reports]
         assert images == [w.images for w in all_permutations(7)][: len(images)]
+
+    def test_half_second_budget_keeps_a_lexicographic_prefix(self):
+        # workers stop at the deadline themselves
+        run = verify_range(7, budget_seconds=0.5, jobs=2)
+        assert run.exhausted
+        assert run.elapsed < 1.5
+        images = [r.permutation.images for r in run.reports]
+        assert images
+        assert images == [w.images for w in all_permutations(7)][: len(images)]
+
+    def test_closing_the_sweep_early_stops_every_worker(self):
+        reports = iter_verify(7, jobs=2)
+        assert next(reports).permutation == identity(7)
+        reports.close()
+        assert multiprocessing.active_children() == []
+
+    def test_short_chunk_keeps_its_reports_and_ends_the_sweep(self, monkeypatch):
+        # forked workers inherit the patched module
+        monkeypatch.setattr(verification, "_verify_chunk", _deadline_before_41st)
+        images = [r.permutation.images for r in iter_verify(5, jobs=2)]
+        assert images == S5_IMAGES[:40]
+
+    def test_chunk_stops_at_the_deadline(self):
+        chunk = tuple(w.images for w in all_permutations(3))
+        assert _verify_chunk(chunk, time.monotonic() - 1) == []
+        reports = _verify_chunk(chunk, None)
+        assert [r.permutation.images for r in reports] == list(chunk)
 
 
 class TestOutputBytes:
