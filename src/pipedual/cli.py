@@ -105,13 +105,15 @@ def _cmd_dual(args) -> int:
         family = antidiagonal_family(w)
     else:
         path = Path(token)
-        if not path.is_file():
+        try:
+            if not path.is_file():
+                raise FileNotFoundError(token)
+            family = family_from_json(path.read_text(encoding="utf-8"))
+        except OSError:
             raise _CliError(
                 EXIT_USAGE,
                 f"{token!r} is neither a permutation nor a readable file",
-            )
-        try:
-            family = family_from_json(path.read_text(encoding="utf-8"))
+            ) from None
         except (FamilyFormatError, UnicodeDecodeError) as exc:
             raise _CliError(EXIT_BAD_JSON, str(exc)) from None
     _print_family(transversal_dual(family), args.format)

@@ -126,21 +126,16 @@ def transversal_dual(family: SetFamily) -> SetFamily:
     return SetFamily(family.n, _mmcs(family.masks, reduce(or_, family.masks, 0)))
 
 
-def _holders(members: Iterable[int]) -> dict[int, int]:
-    """Per cell bit: the members holding it, as a bit set over indices."""
+def _mmcs(members: tuple[int, ...], allowed: int) -> list[int]:
+    """The minimal transversals of the members that use only allowed
+    cells, by the search :func:`transversal_dual` describes."""
+    # per cell: the members containing it, as a bit set over member indices
     holders: dict[int, int] = {}
     for i, member in enumerate(members):
         while member:
             cell = member & -member
             member ^= cell
             holders[cell] = holders.get(cell, 0) | 1 << i
-    return holders
-
-
-def _mmcs(members: tuple[int, ...], allowed: int) -> list[int]:
-    """The minimal transversals of the members that use only allowed
-    cells, by the search :func:`transversal_dual` describes."""
-    holders = _holders(members)
     found: list[int] = []
     stack = [(0, allowed, (1 << len(members)) - 1, members, ())]
     while stack:
@@ -273,9 +268,18 @@ def family_from_json_obj(obj) -> SetFamily:
     return SetFamily.from_sets(n, sets)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise FamilyFormatError("repeated key in a JSON object")
+    return obj
+
+
 def family_from_json(text: str) -> SetFamily:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FamilyFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FamilyFormatError("invalid JSON: nested too deeply") from None
     return family_from_json_obj(obj)

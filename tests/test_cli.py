@@ -179,6 +179,39 @@ class TestDual:
         assert code == EXIT_USAGE
         assert "neither a permutation nor a readable file" in err
 
+    def test_file_without_read_permission_exits_2(self, capsys, tmp_path, monkeypatch):
+        # root reads any file, so the denial is simulated
+        path = tmp_path / "locked.json"
+        path.write_text('{"n": 2, "members": []}')
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        code, out, err = run_cli(capsys, "dual", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "neither a permutation nor a readable file" in err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[" * 100000, "nested too deeply"),
+            ('{"n":2,"members":[[[1,1]]],"n":3}', "repeated key"),
+            ('{"n":2,"members":[],"members":[[[1,1]]]}', "repeated key"),
+        ],
+        ids=["deep", "repeated_n", "repeated_members"],
+    )
+    def test_deep_or_repeated_key_json_exits_3(self, capsys, tmp_path, text, message):
+        path = tmp_path / "family.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "dual", str(path))
+        assert code == EXIT_BAD_JSON
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestSchubert:
     def test_text(self, capsys):

@@ -205,6 +205,16 @@ class TestTransversalDual:
     def test_double_dual_fixes_antichains(self, family):
         assert transversal_dual(transversal_dual(family)) == family
 
+    # family_st draws no empty member, so the examples add it
+    @given(family_st())
+    @example(SetFamily.empty(2))
+    @example(SetFamily.from_sets(2, [[]]))
+    @example(SetFamily.from_sets(3, [[], [(1, 1)], [(1, 1), (2, 2)]]))
+    def test_double_dual_is_the_minimal_members(self, family):
+        # the identity verify_permutation derives dual(RP) and
+        # dual(dual(AD)) from, on any family, antichain or not
+        assert transversal_dual(transversal_dual(family)) == minimalize(family)
+
     @given(family_st())
     def test_dual_is_an_antichain(self, family):
         dual = transversal_dual(family)

@@ -30,6 +30,7 @@ from pipedual.transversals import (
     SetFamily,
     is_minimal_transversal,
     is_transversal,
+    minimalize,
     transversal_dual,
 )
 from pipedual.verification import (
@@ -361,6 +362,26 @@ class TestVerifyRange:
         images = [r.permutation.images for r in iter_verify(5, jobs=2)]
         assert images == S5_IMAGES[:40]
 
+    @pytest.mark.parametrize(
+        "n,jobs,workers",
+        [(1, 2, 1), (3, 8, 1), (5, 2, 2), (5, 8, 4), (7, 2, 2), (7, 500, 158)],
+    )
+    def test_pool_never_outnumbers_the_chunks(self, monkeypatch, n, jobs, workers):
+        # the spy records the pool size and starts no worker
+        seen = []
+
+        class NoPool(Exception):
+            pass
+
+        def spy(max_workers):
+            seen.append(max_workers)
+            raise NoPool
+
+        monkeypatch.setattr(verification, "ProcessPoolExecutor", spy)
+        with pytest.raises(NoPool):
+            next(iter_verify(n, jobs=jobs))
+        assert seen == [workers]
+
     def test_chunk_stops_at_the_deadline(self):
         chunk = tuple(w.images for w in all_permutations(3))
         assert _verify_chunk(chunk, time.monotonic() - 1) == []
@@ -468,25 +489,25 @@ class TestSinglePass:
         counts, searches = self._counted(monkeypatch)
         assert verify_permutation(w).passed
         assert counts == {"enumerate_rp": 1, "antidiagonal_family": 1}
-        # dual(RP) = AD is certified, so RP is never searched
+        # dual(AD) == RP makes dual(RP) min(AD), so RP is never searched
         assert searches == {
             _dual_search(ad): 1,
             _reject_search(ad): 1,
         }
 
-    def test_third_dual_only_when_duality_fails(self, monkeypatch):
+    def test_rp_searched_only_when_duality_fails(self, monkeypatch):
         w = parse_permutation("13254")
         rp, ad = enumerate_rp(w), antidiagonal_family(w)
         short = SetFamily.from_sets(rp.n, rp.members[1:])
         monkeypatch.setattr(verification, "enumerate_rp", lambda v: short)
         _, searches = self._counted(monkeypatch)
         report = verify_permutation(w)
-        # dual(AD) == RP is dualized again only because it differs from short
+        # dual(AD) differs from short, so short is searched; dual(AD) itself
+        # never is, since dual(dual(AD)) is min(AD)
         assert searches == {
             _dual_search(short): 1,
             _dual_search(ad): 1,
             _reject_search(ad): 1,
-            _dual_search(rp): 1,
         }
         assert not report.checks[CHECK_DUALITY].passed
         assert report.checks[CHECK_DOUBLE_DUAL].passed
@@ -512,26 +533,25 @@ class TestSinglePass:
             ]
 
 
-def certified(rp, ad):
-    """Whether verify_permutation's certificate gives dual(RP) = AD
-    without a search on RP."""
-    minimal = verification._check_transversality(rp, ad)[1]
-    return verification._dual_rp(rp, ad, transversal_dual(ad), minimal) is ad
+def derived_dual_rp(rp, ad):
+    """dual(RP) as verify_theorem derives it: min(AD) when dual(AD) == RP,
+    else MMCS on RP."""
+    return verification._dual_rp(rp, ad, transversal_dual(ad))
 
 
 def pairwise_transversality(rp, ad):
-    # the transversality check before the per-cell table, kept verbatim
+    # the transversality check, kept verbatim as the reference
     return verification._result_from_offenders(
         rp.n, [m for m in rp.masks if not all(m & a for a in ad.masks)]
     )
 
 
 def reference_single_pass(w, rp, ad):
-    """verify_permutation before the certificate, kept as the reference:
-    it always dualizes RP by MMCS."""
+    """verify_permutation with every dual searched, kept as the reference:
+    it dualizes RP and dual(AD) by MMCS."""
     dual_ad, rejected = transversals.dual_with_nonminimal(ad)
     dual_rp = transversal_dual(rp)
-    twice = dual_rp if dual_ad == rp else transversal_dual(dual_ad)
+    twice = transversal_dual(dual_ad)
     checks = {
         CHECK_TRANSVERSALITY: pairwise_transversality(rp, ad),
         CHECK_DUAL_REDUCEDNESS: verification._check_dual_reducedness(w, dual_ad),
@@ -574,23 +594,24 @@ def seeded_draws(n, count):
 
 
 class TestCertificate:
-    """The certificate of verify_permutation against MMCS on RP."""
+    """dual(AD) == RP certifies dual(RP) = min(AD), by the identity
+    dual(dual(H)) = min(H); the derived dual(RP) against MMCS on RP."""
+
+    def _check(self, w):
+        rp, ad = enumerate_rp(w), antidiagonal_family(w)
+        mmcs = transversal_dual(rp)
+        assert (transversal_dual(ad) == rp) == (mmcs == ad)
+        assert derived_dual_rp(rp, ad) == mmcs == ad
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_holds_exactly_when_mmcs_agrees_on_sn(self, n):
         for w in all_permutations(n):
-            rp, ad = enumerate_rp(w), antidiagonal_family(w)
-            mmcs_agrees = transversal_dual(rp) == ad
-            assert certified(rp, ad) == mmcs_agrees
-            assert mmcs_agrees
+            self._check(w)
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_holds_exactly_when_mmcs_agrees_on_seeded_draws(self, n):
         for w in seeded_draws(n, 20):
-            rp, ad = enumerate_rp(w), antidiagonal_family(w)
-            mmcs_agrees = transversal_dual(rp) == ad
-            assert certified(rp, ad) == mmcs_agrees
-            assert mmcs_agrees
+            self._check(w)
 
     def _corrupted_cases(self):
         rng = random.Random(2024)
@@ -600,17 +621,19 @@ class TestCertificate:
                     for kind, rp, ad in corrupted_pairs(w, rng):
                         yield w, kind, rp, ad
 
-    def test_fails_on_corrupted_pairs_and_falls_back(self, monkeypatch):
+    def test_matches_mmcs_and_the_reference_on_corrupted_pairs(self, monkeypatch):
         kinds = collections.Counter()
         for w, kind, rp, ad in self._corrupted_cases():
-            assert not certified(rp, ad)
-            assert transversal_dual(rp) != ad
+            dual_rp = derived_dual_rp(rp, ad)
+            assert dual_rp == transversal_dual(rp) != ad, kind
+            if kind == "nonminimal_ad":
+                # still dual(AD) == RP: the derived dual drops the superset
+                assert transversal_dual(ad) == rp
+                assert dual_rp == minimalize(ad) != ad
             with monkeypatch.context() as patch:
                 patch.setattr(verification, "enumerate_rp", lambda v: rp)
                 patch.setattr(verification, "antidiagonal_family", lambda v: ad)
-                searches = _record_searches(patch)
                 report = verify_permutation(w)
-            assert searches[_dual_search(rp)] >= 1, kind
             assert report == reference_single_pass(w, rp, ad), kind
             assert not report.checks[CHECK_DUALITY].passed
             kinds[kind] += 1
@@ -620,14 +643,15 @@ class TestCertificate:
     def test_transversality_offenders_match_the_pairwise_loop(self):
         failing = 0
         for _w, kind, rp, ad in self._corrupted_cases():
-            table = verification._check_transversality(rp, ad)[0]
-            assert table == pairwise_transversality(rp, ad), kind
+            result = verification._check_transversality(rp, ad)
+            assert result == pairwise_transversality(rp, ad), kind
             offenders = [m for m in rp.members if not is_transversal(m, ad)]
             if offenders:
-                assert table == CheckResult(False, SetFamily.from_sets(rp.n, offenders))
+                witness = SetFamily.from_sets(rp.n, offenders)
+                assert result == CheckResult(False, witness)
             else:
-                assert table == CheckResult(True)
-            failing += not table.passed
+                assert result == CheckResult(True)
+            failing += not result.passed
         assert failing >= 20
 
 
