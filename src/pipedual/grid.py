@@ -1,4 +1,5 @@
-"""Shared grid vocabulary: 1-based (row, column) boxes of an n x n grid."""
+"""Shared grid vocabulary: 1-based (row, column) boxes of an n x n grid,
+their bit-packed masks, and masks packed side by side into lanes."""
 
 from __future__ import annotations
 
@@ -27,3 +28,35 @@ def pack(n: int, boxes: Iterable[Box]) -> int:
     for (r, c) in boxes:
         mask |= 1 << ((r - 1) * n + (c - 1))
     return mask
+
+
+class Lanes:
+    """Masks of the n x n grid side by side in one int: mask i fills lane
+    i, which is 8 * (n * n // 8 + 1) bits wide, so its top bit lies above
+    every cell.  One big-int operation then acts on every mask at once;
+    subtracting ``ones`` (1 in every lane) from lanes with their top bits
+    set borrows only within a lane, and a top bit survives exactly where
+    its lane was nonzero.
+    """
+
+    def __init__(self, n: int, masks: Iterable[int]):
+        self.n, self.masks, self.size = n, tuple(masks), n * n // 8 + 1
+        data = b"".join(m.to_bytes(self.size, "little") for m in self.masks)
+        one = b"\1".ljust(self.size, b"\0")
+        self.packed = int.from_bytes(data, "little")
+        self.ones = int.from_bytes(one * len(self.masks), "little")
+        self.top = self.ones << 8 * self.size - 1
+
+    def nonzero(self, x: int) -> int:
+        """The top bits of the lanes where x (top bits clear) is nonzero."""
+        return ((x | self.top) - self.ones) & self.top
+
+    def split(self, x: int) -> list[int]:
+        """The lanes of x in mask order, read off one ``to_bytes``."""
+        s = self.size
+        data = x.to_bytes(s * len(self.masks), "little")
+        return [int.from_bytes(data[i:i + s], "little") for i in range(0, len(data), s)]
+
+    def select(self, x: int) -> list[int]:
+        """The masks whose lanes of x are nonzero."""
+        return [m for m, lane in zip(self.masks, self.split(x)) if lane] if x else []

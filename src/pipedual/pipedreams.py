@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .grid import Box, staircase_boxes
+from .grid import Box, Lanes, staircase_boxes
 from .permutations import Permutation, length
 from .transversals import SetFamily
 
@@ -172,10 +172,11 @@ def enumerate_rp(w: Permutation) -> SetFamily:
     return SetFamily(n, masks)
 
 
-def reduced_traces(n: int, masks: Iterable[int]) -> Iterator[tuple[int, ...] | None]:
-    """For each mask of crossing tiles (see :func:`grid.pack`), the images
-    of its trace if it is a reduced pipe dream of the n x n grid, and None
-    if it is not reduced or has a tile off the staircase.
+def trace_lanes(lanes: Lanes) -> tuple[list[int], int]:
+    """The slot trace of every mask of ``lanes`` at once: the final slots,
+    where lane i of ``slots[k]`` holds the pipe in slot k of mask i
+    (``slots[0]`` is unused), and the top bits of the lanes that are not
+    reduced pipe dreams of the staircase.
 
     Reads the crossings column by column from the left, each column from
     the bottom, forward from the identity, swapping slots r + c - 1 and
@@ -185,32 +186,40 @@ def reduced_traces(n: int, masks: Iterable[int]) -> Iterator[tuple[int, ...] | N
     or state with the row-by-row :func:`enumerate_rp`, so it serves the
     tests as an independent check of it.
     Pipes keep their order in the slots until they cross, so a crossing
-    whose lower slot holds the larger pipe is the pair's second.  At the
-    end slot c holds the pipe that exits at column c.
+    whose lower slot holds the larger pipe is the pair's second; a lane
+    flags it where ``(a | top) - b`` keeps its top bit.  A swap acts on
+    the lanes whose mask holds the box.  At the end slot c holds the pipe
+    that exits at column c.
     """
-    boxes = [
-        ((r - 1) * n + c - 1, r + c - 1)
-        for c in range(1, n)
-        for r in range(n - c, 0, -1)
-    ]
-    off_staircase = ~sum(1 << bit for bit, _ in boxes)
-    for mask in masks:
-        if mask & off_staircase:
-            yield None
-            continue
-        slots = list(range(n + 1))  # slots[k]: the pipe in slot k (0 unused)
-        for bit, k in boxes:
-            if mask >> bit & 1:
+    n, packed, ones, top = lanes.n, lanes.packed, lanes.ones, lanes.top
+    high = 8 * lanes.size - 1  # the top bit of a lane
+    slots = [ones * k for k in range(n + 1)]
+    bad = stair = 0
+    for c in range(1, n):
+        for r in range(n - c, 0, -1):
+            bit = (r - 1) * n + c - 1
+            stair |= 1 << bit
+            # 1 at the foot of each lane whose mask holds box (r, c)
+            crossed = packed >> bit & ones
+            if crossed:
+                k = r + c - 1
                 a, b = slots[k], slots[k + 1]
-                if a > b:
-                    yield None
-                    break
-                slots[k], slots[k + 1] = b, a
-        else:
-            images = [0] * n
-            for c in range(1, n + 1):
-                images[slots[c] - 1] = c
-            yield tuple(images)
+                bad |= ((a | top) - b) & crossed << high
+                swap = (a ^ b) & crossed * ((1 << high) - 1)
+                slots[k], slots[k + 1] = a ^ swap, b ^ swap
+    return slots, bad | lanes.nonzero(packed & ~(ones * stair))
+
+
+def reduced_traces(n: int, masks: Iterable[int]) -> Iterator[tuple[int, ...] | None]:
+    """For each mask of crossing tiles (see :func:`grid.pack`), the images
+    of its trace if it is a reduced pipe dream of the n x n grid, and None
+    if it is not reduced or has a tile off the staircase: the lanes of
+    :func:`trace_lanes`, decoded."""
+    lanes = Lanes(n, masks)
+    slots, bad = trace_lanes(lanes)
+    for flag, pipes in zip(lanes.split(bad), zip(*map(lanes.split, slots))):
+        # pipes[c], the pipe in slot c, exits at column c
+        yield None if flag else tuple(sorted(range(1, n + 1), key=pipes.__getitem__))
 
 
 def enumerate_rp_bruteforce(w: Permutation) -> SetFamily:

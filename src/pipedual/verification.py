@@ -27,7 +27,7 @@ from itertools import islice
 from math import factorial
 
 from .antidiagonals import antidiagonal_family
-from .grid import pack, staircase_boxes
+from .grid import Lanes, pack, staircase_boxes
 from .permutations import (
     Permutation,
     all_permutations,
@@ -36,7 +36,7 @@ from .permutations import (
     length,
     prefix_sets,
 )
-from .pipedreams import PipeDream, enumerate_rp, reduced_traces
+from .pipedreams import PipeDream, enumerate_rp, reduced_traces, trace_lanes
 from .transversals import (
     SetFamily,
     dual_with_nonminimal,
@@ -117,49 +117,66 @@ def _result_from_offenders(n: int, offenders: list[int]) -> CheckResult:
     return CheckResult(False, SetFamily(n, offenders))
 
 
-def _check_transversality(rp: SetFamily, ad: SetFamily) -> CheckResult:
-    return _result_from_offenders(
-        rp.n, [m for m in rp.masks if not all(m & a for a in ad.masks)]
-    )
+def _check_transversality(rp: Lanes, ad: SetFamily) -> CheckResult:
+    # a lane's top bit survives exactly where its dream meets every member
+    met = rp.top
+    for a in ad.masks:
+        met &= rp.nonzero(rp.packed & rp.ones * a)
+    return _result_from_offenders(rp.n, rp.select(met ^ rp.top))
+
+
+def _minimal(family: SetFamily) -> SetFamily:
+    """min(family): the family itself if each member contains exactly one
+    of its lanes, its own, else :func:`minimalize`."""
+    lanes = Lanes(family.n, family.masks)
+    # per member a: the top bits of the lanes that are not subsets of a
+    out = (lanes.nonzero(lanes.packed & ~(lanes.ones * a)) for a in family.masks)
+    antichain = all(o.bit_count() == len(family) - 1 for o in out)
+    return family if antichain else minimalize(family)
 
 
 def _dual_rp(rp: SetFamily, ad: SetFamily, dual_ad: SetFamily) -> SetFamily:
     """dual(RP): min(AD) when dual(AD) == RP (see verify_permutation),
     else MMCS on RP."""
-    return minimalize(ad) if dual_ad == rp else transversal_dual(rp)
+    return _minimal(ad) if dual_ad == rp else transversal_dual(rp)
 
 
-def _check_dual_reducedness(w: Permutation, dual_ad: SetFamily) -> CheckResult:
+def _check_dual_reducedness(w: Permutation, dual_ad: Lanes) -> CheckResult:
+    # a dream that traces to w needs no rank matrices (Bruhat order is
+    # reflexive); slot c must hold w^-1(c) in every lane
+    slots, bad = trace_lanes(dual_ad)
+    wrong = 0
+    for c, pipe in enumerate(w.inverse().images, 1):
+        wrong |= slots[c] ^ dual_ad.ones * pipe
+    suspects = dual_ad.select(bad | dual_ad.nonzero(wrong))
     offenders = [
         mask
-        for mask, images in zip(dual_ad.masks, reduced_traces(w.n, dual_ad.masks))
-        # Bruhat order is reflexive: v == w needs no rank matrices
-        if images is None
-        or not (images == w.images or bruhat_geq(Permutation(images), w))
+        for mask, images in zip(suspects, reduced_traces(w.n, suspects))
+        if images is None or not bruhat_geq(Permutation(images), w)
     ]
     return _result_from_offenders(w.n, offenders)
 
 
 def _nonminimal_stats(rejected: SetFamily) -> dict[str, int]:
-    traces = reduced_traces(rejected.n, rejected.masks)
+    _, bad = trace_lanes(Lanes(rejected.n, rejected.masks))
     return {
         "nonminimal_transversals_seen": len(rejected),
-        "reduced_nonminimal_transversals": sum(t is not None for t in traces),
+        "reduced_nonminimal_transversals": len(rejected) - bad.bit_count(),
     }
 
 
-def _check_rank_antidiagonal(w: Permutation, rp: SetFamily) -> CheckResult:
+def _check_rank_antidiagonal(w: Permutation, rp: Lanes) -> CheckResult:
     n = w.n
     # rank row p as _antidiagonal_steps gives a row: bit q - 1 is set iff
-    # rank(w, p, q) > rank(w, p, q - 1), i.e. q is one of w(1), ..., w(p)
-    rank_steps = prefix_sets(w)
+    # rank(w, p, q) > rank(w, p, q - 1), i.e. q is one of w(1), ..., w(p);
+    # one DP per row p runs on every dream at once
     # each offending mask -> its first failing (p, q) in row-major order
     failures: dict[int, tuple[int, int]] = {}
-    for mask in rp.masks:
-        for p, steps in enumerate(rank_steps, 1):
-            if diff := _antidiagonal_steps(n, mask, p) ^ steps:
-                failures[mask] = (p, (diff & -diff).bit_length())
-                break
+    for p, steps in enumerate(prefix_sets(w), 1):
+        if diff := _antidiagonal_steps(n, rp.packed, p, rp.ones) ^ rp.ones * steps:
+            for mask, lane in zip(rp.masks, rp.split(diff)):
+                if lane and mask not in failures:
+                    failures[mask] = (p, (lane & -lane).bit_length())
     if not failures:
         return CheckResult(True)
     # the witness is the first offender in members order, not masks order
@@ -202,7 +219,8 @@ def verify_theorem(w: Permutation) -> VerificationReport:
 def verify_claim1(w: Permutation) -> VerificationReport:
     """Check that every reduced pipe dream of w meets every member of the
     antidiagonal family of w."""
-    result = _check_transversality(enumerate_rp(w), antidiagonal_family(w))
+    rp = enumerate_rp(w)
+    result = _check_transversality(Lanes(w.n, rp.masks), antidiagonal_family(w))
     return VerificationReport(w, {CHECK_TRANSVERSALITY: result})
 
 
@@ -217,18 +235,21 @@ def verify_claim2(w: Permutation) -> VerificationReport:
     observations, not assertions.
     """
     dual_ad, rejected = dual_with_nonminimal(antidiagonal_family(w))
+    result = _check_dual_reducedness(w, Lanes(w.n, dual_ad.masks))
     return VerificationReport(
-        w,
-        {CHECK_DUAL_REDUCEDNESS: _check_dual_reducedness(w, dual_ad)},
-        _nonminimal_stats(rejected),
+        w, {CHECK_DUAL_REDUCEDNESS: result}, _nonminimal_stats(rejected)
     )
 
 
-def _antidiagonal_steps(n: int, mask: int, p: int) -> int:
+def _antidiagonal_steps(n: int, mask: int, p: int, ones: int = 1) -> int:
     """Row p of the table of largest crossing-free antidiagonals, as its
     steps: bit q - 1 is set iff the largest antidiagonal inside [p] x [q]
     avoiding the crossings of ``mask`` has one box more than inside
-    [p] x [q - 1] (a row grows by at most one box per column).
+    [p] x [q - 1] (a row grows by at most one box per column).  With
+    ``ones`` from :class:`grid.Lanes`, mask is the lanes' packed int and
+    the row comes back in every lane: ``v + u`` carries only into a
+    lane's bits above n, and ``v - u`` never borrows, since u is a subset
+    of v.
 
     One chain DP runs bottom-up from row p: if L' is the row for rows
     r+1..p, the row for rows r..p is L(c) = max(L(c - 1), L'(c),
@@ -237,7 +258,7 @@ def _antidiagonal_steps(n: int, mask: int, p: int) -> int:
     one grid row per step (Hyyro, "Bit-parallel LCS-length computation
     revisited", 2004).
     """
-    full = (1 << n) - 1
+    full = ones * ((1 << n) - 1)
     v = full  # bit q - 1 clear iff the row so far steps up at column q
     for r in range(p, 0, -1):
         u = v & ~(mask >> (r - 1) * n)
@@ -259,9 +280,9 @@ def max_elbow_antidiagonal(dream: PipeDream, p: int, q: int) -> int:
 def verify_rank_antidiagonal_law(w: Permutation) -> VerificationReport:
     """Check that for every reduced pipe dream of w and every rectangle,
     the largest crossing-free antidiagonal has size exactly the rank."""
-    return VerificationReport(
-        w, {CHECK_RANK_ANTIDIAGONAL: _check_rank_antidiagonal(w, enumerate_rp(w))}
-    )
+    rp = enumerate_rp(w)
+    result = _check_rank_antidiagonal(w, Lanes(w.n, rp.masks))
+    return VerificationReport(w, {CHECK_RANK_ANTIDIAGONAL: result})
 
 
 def verify_double_dual(w: Permutation) -> VerificationReport:
@@ -320,16 +341,20 @@ def verify_permutation(w: Permutation) -> VerificationReport:
     blocker of a clutter's blocker is the clutter (Edmonds and
     Fulkerson, "Bottleneck extrema", 1970), and dual(H) = dual(min(H)).
     So dual(dual(AD)) is min(AD), and when dual(AD) == RP so is dual(RP);
-    MMCS runs on RP only when dual(AD) != RP."""
+    MMCS runs on RP only when dual(AD) != RP.  The checks that read every
+    dream run once per family on its lanes (see :class:`grid.Lanes`), and
+    RP's lanes serve dual(AD) when the two are equal."""
     rp = enumerate_rp(w)
     ad = antidiagonal_family(w)
     dual_ad, rejected = dual_with_nonminimal(ad)
-    twice = minimalize(ad)
+    twice = _minimal(ad)
     dual_rp = twice if dual_ad == rp else transversal_dual(rp)
+    lanes = Lanes(w.n, rp.masks)
+    dual_lanes = lanes if dual_ad == rp else Lanes(w.n, dual_ad.masks)
     checks = {
-        CHECK_TRANSVERSALITY: _check_transversality(rp, ad),
-        CHECK_DUAL_REDUCEDNESS: _check_dual_reducedness(w, dual_ad),
-        CHECK_RANK_ANTIDIAGONAL: _check_rank_antidiagonal(w, rp),
+        CHECK_TRANSVERSALITY: _check_transversality(lanes, ad),
+        CHECK_DUAL_REDUCEDNESS: _check_dual_reducedness(w, dual_lanes),
+        CHECK_RANK_ANTIDIAGONAL: _check_rank_antidiagonal(w, lanes),
         CHECK_DOUBLE_DUAL: _check_double_dual(ad, twice),
         CHECK_DUALITY: _check_duality(rp, ad, dual_ad, dual_rp),
     }

@@ -149,10 +149,10 @@ class TestReducedTracesOracle:
         ]
         assert list(reduced_traces(n, masks)) == [_tile_walk_trace(n, m) for m in masks]
 
-    def test_seeded_masks_up_to_n8(self):
+    def test_seeded_masks_up_to_n10(self):
         rng = random.Random(2004)
         kinds = {"reduced": 0, "not reduced": 0, "off staircase": 0}
-        for n in range(2, 9):
+        for n in range(2, 11):
             stair = pack(n, staircase_boxes(n))
             masks = []
             for _ in range(300):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import pipedual.transversals as transversals
 import pipedual.verification as verification
 from pipedual.antidiagonals import antidiagonal_family, antidiagonals_in_rectangle
-from pipedual.grid import staircase_boxes
+from pipedual.grid import Lanes, staircase_boxes
 from pipedual.permutations import (
     Permutation,
     all_permutations,
@@ -59,6 +59,10 @@ from pipedual.verification import (
     verify_theorem,
 )
 from test_schubert import schubert_by_divided_differences
+
+
+def lanes_of(family):
+    return Lanes(family.n, family.masks)
 
 
 def dream_st(min_n=2, max_n=5):
@@ -219,7 +223,7 @@ class TestRankWitness:
     per-rectangle loop: the first failing member in ``members`` order and
     its first failing rectangle in row-major order."""
 
-    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
     def test_matches_the_per_rectangle_loop(self, n):
         rng = random.Random(n)
         staircase = staircase_boxes(n)
@@ -241,7 +245,8 @@ class TestRankWitness:
                         )
                 family = SetFamily.from_sets(n, corrupted)
                 expected = per_rectangle_rank_check(w, family)
-                assert verification._check_rank_antidiagonal(w, family) == expected
+                result = verification._check_rank_antidiagonal(w, lanes_of(family))
+                assert result == expected
                 failures += not expected.passed
         assert failures >= 12
 
@@ -540,7 +545,8 @@ def derived_dual_rp(rp, ad):
 
 
 def pairwise_transversality(rp, ad):
-    # the transversality check, kept verbatim as the reference
+    # the per-dream loop the transversality check ran before it moved onto
+    # lanes, kept as its reference
     return verification._result_from_offenders(
         rp.n, [m for m in rp.masks if not all(m & a for a in ad.masks)]
     )
@@ -554,8 +560,10 @@ def reference_single_pass(w, rp, ad):
     twice = transversal_dual(dual_ad)
     checks = {
         CHECK_TRANSVERSALITY: pairwise_transversality(rp, ad),
-        CHECK_DUAL_REDUCEDNESS: verification._check_dual_reducedness(w, dual_ad),
-        CHECK_RANK_ANTIDIAGONAL: verification._check_rank_antidiagonal(w, rp),
+        CHECK_DUAL_REDUCEDNESS: verification._check_dual_reducedness(
+            w, lanes_of(dual_ad)
+        ),
+        CHECK_RANK_ANTIDIAGONAL: verification._check_rank_antidiagonal(w, lanes_of(rp)),
         CHECK_DOUBLE_DUAL: verification._check_double_dual(ad, twice),
         CHECK_DUALITY: verification._check_duality(rp, ad, dual_ad, dual_rp),
     }
@@ -615,8 +623,8 @@ class TestCertificate:
 
     def _corrupted_cases(self):
         rng = random.Random(2024)
-        for n in (4, 5, 6, 7):
-            for w in seeded_draws(n, 8):
+        for n in (4, 5, 6, 7, 8, 9):
+            for w in seeded_draws(n, 8 if n < 8 else 4):
                 if w != identity(n):
                     for kind, rp, ad in corrupted_pairs(w, rng):
                         yield w, kind, rp, ad
@@ -643,7 +651,7 @@ class TestCertificate:
     def test_transversality_offenders_match_the_pairwise_loop(self):
         failing = 0
         for _w, kind, rp, ad in self._corrupted_cases():
-            result = verification._check_transversality(rp, ad)
+            result = verification._check_transversality(lanes_of(rp), ad)
             assert result == pairwise_transversality(rp, ad), kind
             offenders = [m for m in rp.members if not is_transversal(m, ad)]
             if offenders:
