@@ -125,20 +125,10 @@ def _check_transversality(rp: Lanes, ad: SetFamily) -> CheckResult:
     return _result_from_offenders(rp.n, rp.select(met ^ rp.top))
 
 
-def _minimal(family: SetFamily) -> SetFamily:
-    """min(family): the family itself if each member contains exactly one
-    of its lanes, its own, else :func:`minimalize`."""
-    lanes = Lanes(family.n, family.masks)
-    # per member a: the top bits of the lanes that are not subsets of a
-    out = (lanes.nonzero(lanes.packed & ~(lanes.ones * a)) for a in family.masks)
-    antichain = all(o.bit_count() == len(family) - 1 for o in out)
-    return family if antichain else minimalize(family)
-
-
 def _dual_rp(rp: SetFamily, ad: SetFamily, dual_ad: SetFamily) -> SetFamily:
     """dual(RP): min(AD) when dual(AD) == RP (see verify_permutation),
     else MMCS on RP."""
-    return _minimal(ad) if dual_ad == rp else transversal_dual(rp)
+    return minimalize(ad) if dual_ad == rp else transversal_dual(rp)
 
 
 def _check_dual_reducedness(w: Permutation, dual_ad: Lanes) -> CheckResult:
@@ -347,7 +337,7 @@ def verify_permutation(w: Permutation) -> VerificationReport:
     rp = enumerate_rp(w)
     ad = antidiagonal_family(w)
     dual_ad, rejected = dual_with_nonminimal(ad)
-    twice = _minimal(ad)
+    twice = minimalize(ad)
     dual_rp = twice if dual_ad == rp else transversal_dual(rp)
     lanes = Lanes(w.n, rp.masks)
     dual_lanes = lanes if dual_ad == rp else Lanes(w.n, dual_ad.masks)

@@ -13,7 +13,7 @@ from pipedual import verification
 from pipedual.grid import Lanes
 from pipedual.permutations import Permutation, bruhat_geq, identity
 from pipedual.pipedreams import enumerate_rp, reduced_traces, trace_lanes
-from pipedual.transversals import SetFamily, minimalize
+from pipedual.transversals import SetFamily
 from pipedual.verification import CheckResult, _antidiagonal_steps, verify_permutation
 
 SIZES = [1, 2, 3, 7, 8, 9, 10]
@@ -69,7 +69,6 @@ class TestLayout:
         assert verification._check_transversality(lanes, SetFamily(n, [1])) == passed
         assert verification._check_rank_antidiagonal(w, lanes) == passed
         assert verification._check_dual_reducedness(w, lanes) == passed
-        assert verification._minimal(SetFamily.empty(n)) == SetFamily.empty(n)
 
 
 class TestChecksPerLane:
@@ -124,17 +123,6 @@ class TestChecksPerLane:
         assert stats["reduced_nonminimal_transversals"] == len(
             {m for m, images in zip(masks, traces) if images is not None}
         )
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_antichain_test(self, n):
-        rng = random.Random(50 + n)
-        masks = edge_masks(n, rng)
-        families = [SetFamily(n, rng.sample(masks, rng.randint(0, 6))) for _ in range(30)]
-        families += [minimalize(family) for family in families]
-        families += [SetFamily(n, [0]), SetFamily(n, [(1 << n * n) - 1])]
-        assert any(minimalize(family) != family for family in families)
-        for family in families:
-            assert verification._minimal(family) == minimalize(family)
 
 
 @pytest.mark.parametrize("n", SIZES)
