@@ -106,29 +106,31 @@ def minimalize(family: SetFamily) -> SetFamily:
 
 
 def transversal_dual(family: SetFamily) -> SetFamily:
-    """The family of all inclusion-minimal transversals, canonically ordered.
+    """All inclusion-minimal transversals, canonically ordered, by
+    :func:`_mmcs` deferring no member.  The empty family's dual holds just
+    the empty set; a family holding the empty set has no transversals."""
+    return SetFamily(family.n, _mmcs(family.masks, 0)[0])
 
-    The dual of the empty family is the family containing only the empty
-    set; a family containing the empty set has no transversals at all.
 
-    Depth-first MMCS (Murakami and Uno, "Efficient algorithms for
+def _mmcs(members: tuple[int, ...], last: int) -> tuple[list[int], list[int]]:
+    """Depth-first MMCS (Murakami and Uno, "Efficient algorithms for
     dualizing large-scale hypergraphs", Discrete Appl. Math. 2014) on an
-    explicit stack.  A node holds the chosen cells, the cells still
-    allowed, the members not yet met (as a list and as a bit set over
-    member indices) and, per chosen cell, its critical members: those
-    the chosen cells meet in that cell alone.  A node branches on the
-    unmet member with the fewest allowed cells; the child for its i-th
-    cell may not use its later cells, so every minimal transversal is
-    found once.  A child whose cell leaves an earlier cell without a
-    critical member is cut, so every node is a minimal transversal of
-    the members it meets.
+    explicit stack: the minimal transversals of the members, and each
+    non-minimal p | c for p a minimal transversal of the others that misses
+    the member ``last`` (0: none) and c a cell of ``last``.  A node holds
+    the chosen cells, the cells still allowed, the members not yet met (as a
+    list and as a bit set over member indices) and, per chosen cell, its
+    critical members: those the chosen cells meet in that cell alone.  A
+    node branches on the listed member with the fewest allowed cells; the
+    child for its i-th cell may not use its later cells, so every minimal
+    transversal is found once.  A child whose cell leaves an earlier cell
+    without a critical member is cut, so every node is a minimal transversal
+    of the members it meets.  ``last`` is listed only once the others are
+    met, so until a cell of it is chosen a node is one a search of the
+    others would hold: the p are the nodes left with only ``last`` unmet,
+    each once, and p | c is minimal iff c passes the cut (``last`` is
+    critical for c).
     """
-    return SetFamily(family.n, _mmcs(family.masks, reduce(or_, family.masks, 0)))
-
-
-def _mmcs(members: tuple[int, ...], allowed: int) -> list[int]:
-    """The minimal transversals of the members that use only allowed
-    cells, by the search :func:`transversal_dual` describes."""
     # per cell: the members containing it, as a bit set over member indices
     holders: dict[int, int] = {}
     for i, member in enumerate(members):
@@ -136,13 +138,20 @@ def _mmcs(members: tuple[int, ...], allowed: int) -> list[int]:
             cell = member & -member
             member ^= cell
             holders[cell] = holders.get(cell, 0) | 1 << i
-    found: list[int] = []
-    stack = [(0, allowed, (1 << len(members)) - 1, members, ())]
+    deferred = [(cell, held) for cell, held in holders.items() if cell & last]
+    found, rejects = [], []
+    listed = [m for m in members if m != last or not last]
+    stack = [(0, reduce(or_, members, 0), (1 << len(members)) - 1, listed, ())]
     while stack:
         chosen, allowed, unmet, open_members, critical = stack.pop()
         if not open_members:
-            found.append(chosen)
-            continue
+            if not unmet:
+                found.append(chosen)
+                continue
+            for cell, held in deferred:  # only last is unmet: chosen is a p
+                if not all(c & ~held for c in critical):
+                    rejects.append(chosen | cell)
+            open_members = [last]
         branch, fewest = allowed, allowed.bit_count()
         for member in open_members:
             member &= allowed
@@ -162,31 +171,22 @@ def _mmcs(members: tuple[int, ...], allowed: int) -> list[int]:
                 child = (chosen | cell, allowed, unmet & ~held, rest, tuple(still))
                 stack.append(child)
             allowed |= cell
-    return found
+    return found, rejects
 
 
 def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
     """The transversal dual of the family, and the non-minimal transversals
     that incremental Berge multiplication, taking members by size, would
-    build in its final round and discard.  The second family is
-    diagnostic; it is not part of any identity.
-
-    Berge's final round extends every minimal transversal of the other
-    members that misses the last member by one cell of it, and keeps the
-    minimal extensions, so its rejects are those extensions minus the
-    dual of the family.  The transversals it extends are exactly the
-    minimal transversals of the other members that use no cell of the
-    last, so one search with those cells barred finds them.  Equal sizes
-    go in mask order, so the last member is the largest mask of the
-    largest size.
+    build in its final round and discard (a diagnostic, in no identity).
+    Equal sizes go in mask order, so the last member is the largest mask
+    of the largest size.  The final round extends each minimal
+    transversal p of the others that misses it by each of its cells c,
+    and discards the p | c not minimal for the family (none is minimal
+    for the others): the rejects of :func:`_mmcs` deferring that member.
     """
     last = max(family.masks, key=lambda m: (m.bit_count(), m), default=0)
-    dual = transversal_dual(family)
-    rest = tuple(m for m in family.masks if m != last)
-    allowed = reduce(or_, rest, 0) & ~last  # the cells of last are barred
-    cells = [1 << i for i in range(last.bit_length()) if last >> i & 1]
-    extended = {p | cell for p in _mmcs(rest, allowed) for cell in cells}
-    return dual, SetFamily(family.n, extended.difference(dual.masks))
+    dual, rejects = _mmcs(family.masks, last)
+    return SetFamily(family.n, dual), SetFamily(family.n, rejects)
 
 
 def _ordered_members(family: SetFamily, cell: Callable, join: Callable) -> list:

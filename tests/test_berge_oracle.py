@@ -109,6 +109,45 @@ class TestMmcsAgainstBerge:
     @example(SetFamily.from_sets(3, [[(1, 1)], [(1, 1), (2, 2)], [(1, 1)]]))
     def test_families(self, family):
         assert transversal_dual(family) == berge_dual(family)
+        assert_same_duals(family)
+
+    @pytest.mark.parametrize(
+        "sets,rejects",
+        [
+            # the last member contains another, so every transversal of the
+            # others meets it and the final round extends nothing
+            ([[(1, 1), (1, 2)], [(1, 1), (1, 2), (2, 1)], [(2, 2), (3, 3)]], []),
+            # (1, 2) lies in both members; {(1, 1)} misses the last and is
+            # extended by (1, 2) too, though MMCS may not branch on it there
+            ([[(1, 1), (1, 2)], [(1, 2), (2, 1), (2, 2)]], [[(1, 1), (1, 2)]]),
+            # equal sizes: {(2,1),(2,2)} is the largest mask, so it is
+            # taken last; deferring {(1,1),(2,1)} would find no rejects
+            (
+                [[(1, 1), (2, 1)], [(1, 2), (2, 2)], [(2, 1), (2, 2)]],
+                [[(1, 1), (1, 2), (2, 1)], [(1, 1), (1, 2), (2, 2)]],
+            ),
+            ([[], [(1, 1), (1, 3)]], []),
+            ([[]], []),
+            ([], []),
+        ],
+        ids=[
+            "last-contains", "shared-cells", "equal-sizes",
+            "with-empty", "only-empty", "empty",
+        ],
+    )
+    def test_deferred_member_edge_cases(self, sets, rejects):
+        family = SetFamily.from_sets(3, sets)
+        assert dual_with_nonminimal(family)[1] == SetFamily.from_sets(3, rejects)
+        assert_same_duals(family)
+
+    def test_two_far_boxes(self):
+        # the last member is the top bit of a 4,000,000-bit mask: a list of
+        # its cells that tests every bit index would take minutes
+        family = SetFamily(2000, [1, 1 << (2000 * 2000 - 1)])
+        dual, rejects = dual_with_nonminimal(family)
+        assert dual.members == (((1, 1), (2000, 2000)),)
+        assert len(rejects) == 0
+        assert_same_duals(family)
 
     def test_rejects_match_the_last_round(self):
         rng = random.Random(2014)
