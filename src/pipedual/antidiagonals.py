@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .grid import Box, pack
+from .grid import Box
 from .permutations import Permutation, prefix_sets
 from .transversals import SetFamily, minimalize
 
@@ -37,15 +37,17 @@ class Antidiagonal:
         return iter(self.boxes)
 
 
-def _chains(r_min: int, p: int, c_max: int, k: int) -> Iterator[tuple[Box, ...]]:
-    # k boxes with rows ascending in [r_min, p], columns descending in [1, c_max]
+def _chains(n: int, r_min: int, p: int, c_max: int, k: int) -> Iterator[int]:
+    # masks (grid.pack, n columns) of k boxes with rows ascending in
+    # [r_min, p], columns descending in [1, c_max], in lexicographic order
     if k == 0:
-        yield ()
+        yield 0
         return
     for r in range(r_min, p - k + 2):
         for c in range(k, c_max + 1):
-            for rest in _chains(r + 1, p, c - 1, k - 1):
-                yield ((r, c), *rest)
+            bit = 1 << (r - 1) * n + c - 1
+            for rest in _chains(n, r + 1, p, c - 1, k - 1):
+                yield bit | rest
 
 
 def antidiagonals_in_rectangle(p: int, q: int, size: int) -> Iterator[Antidiagonal]:
@@ -59,8 +61,9 @@ def antidiagonals_in_rectangle(p: int, q: int, size: int) -> Iterator[Antidiagon
         raise ValueError("rectangle dimensions must be positive")
     if size < 0:
         raise ValueError("size must be non-negative")
-    for boxes in _chains(1, p, q, size):
-        yield Antidiagonal(boxes)
+    for mask in _chains(q, 1, p, q, size):
+        cells = (i for i in range(p * q) if mask >> i & 1)
+        yield Antidiagonal(tuple((i // q + 1, i % q + 1) for i in cells))
 
 
 def essential_set(w: Permutation) -> tuple[Box, ...]:
@@ -97,10 +100,9 @@ def antidiagonal_family(w: Permutation) -> SetFamily:
     has no one-entry west of it in row p or north of it in column q, so
     1 + rank(w, p, q) <= min(p, q) and every essential rectangle holds one.
     """
-    n = w.n
     prefix = prefix_sets(w)
     union: set[int] = set()
     for p, q in essential_set(w):
         size = 1 + (prefix[p - 1] & (1 << q) - 1).bit_count()
-        union.update(pack(n, chain) for chain in _chains(1, p, q, size))
-    return minimalize(SetFamily(n, union))
+        union.update(_chains(w.n, 1, p, q, size))
+    return minimalize(SetFamily(w.n, union))

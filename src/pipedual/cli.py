@@ -165,19 +165,17 @@ def _cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
+    # ASCII digits only: int() also reads other scripts' digits and "1_2"
+    if text.isascii() and text.isdigit() and (value := int(text)) >= 1:
+        return value
     raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
 
 
 def _budget_seconds(text: str) -> float:
+    # ASCII only, as in _positive_int: float() reads the same numerals
     try:
         value = float(text)
-        if math.isfinite(value) and value >= 0:
+        if text.isascii() and "_" not in text and math.isfinite(value) and value >= 0:
             return value
     except ValueError:
         pass
@@ -232,7 +230,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     verify = sub.add_parser(
         "verify", help="run every duality check for all permutations of S_n"
     )
-    verify.add_argument("--n", type=int, required=True)
+    verify.add_argument("--n", type=_positive_int, required=True)
     verify.add_argument(
         "--budget",
         type=_budget_seconds,
@@ -261,8 +259,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser, jobs = _main_parser()
     jobs.default = _jobs_default()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.n < 1:
-        parser.error("--n must be at least 1")
     try:
         return args.func(args)
     except _CliError as exc:

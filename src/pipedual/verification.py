@@ -125,10 +125,10 @@ def _check_transversality(rp: Lanes, ad: SetFamily) -> CheckResult:
     return _result_from_offenders(rp.n, rp.select(met ^ rp.top))
 
 
-def _dual_rp(rp: SetFamily, ad: SetFamily, dual_ad: SetFamily) -> SetFamily:
+def _dual_rp(rp: SetFamily, min_ad: SetFamily, dual_ad: SetFamily) -> SetFamily:
     """dual(RP): min(AD) when dual(AD) == RP (see verify_permutation),
     else MMCS on RP."""
-    return minimalize(ad) if dual_ad == rp else transversal_dual(rp)
+    return min_ad if dual_ad == rp else transversal_dual(rp)
 
 
 def _check_dual_reducedness(w: Permutation, dual_ad: Lanes) -> CheckResult:
@@ -202,7 +202,7 @@ def verify_theorem(w: Permutation) -> VerificationReport:
     rp = enumerate_rp(w)
     ad = antidiagonal_family(w)
     dual_ad = transversal_dual(ad)
-    result = _check_duality(rp, ad, dual_ad, _dual_rp(rp, ad, dual_ad))
+    result = _check_duality(rp, ad, dual_ad, _dual_rp(rp, minimalize(ad), dual_ad))
     return VerificationReport(w, {CHECK_DUALITY: result}, _off_staircase_stats(ad))
 
 
@@ -338,7 +338,7 @@ def verify_permutation(w: Permutation) -> VerificationReport:
     ad = antidiagonal_family(w)
     dual_ad, rejected = dual_with_nonminimal(ad)
     twice = minimalize(ad)
-    dual_rp = twice if dual_ad == rp else transversal_dual(rp)
+    dual_rp = _dual_rp(rp, twice, dual_ad)
     lanes = Lanes(w.n, rp.masks)
     dual_lanes = lanes if dual_ad == rp else Lanes(w.n, dual_ad.masks)
     checks = {

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -55,10 +56,13 @@ class TestRectangleStream:
         assert [a.boxes for a in antidiagonals_in_rectangle(2, 3, 0)] == [()]
 
     def test_lexicographic_order(self):
-        seqs = [a.boxes for a in antidiagonals_in_rectangle(3, 3, 2)]
-        flattened = [tuple(x for box in s for x in box) for s in seqs]
-        assert flattened == sorted(flattened)
-        assert len(seqs) == len(set(seqs))
+        # non-square rectangles catch a row/column width mix-up in decoding
+        for p, q, size in itertools.product(range(1, 6), range(1, 6), range(6)):
+            seqs = [a.boxes for a in antidiagonals_in_rectangle(p, q, size)]
+            flattened = [tuple(x for box in s for x in box) for s in seqs]
+            assert flattened == sorted(flattened)
+            assert len(seqs) == len(set(seqs))
+            assert len(seqs) == math.comb(p, size) * math.comb(q, size)
 
     @given(
         st.integers(1, 5), st.integers(1, 5), st.integers(0, 5)

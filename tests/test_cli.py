@@ -298,6 +298,16 @@ class TestVerify:
             ("--budget", "nan"),
             ("--budget", "-1"),
             ("--budget", "inf"),
+            # int() and float() would read these as 3, 12 and 1
+            ("--n", "\u0663"),
+            ("--n", "1_2"),
+            ("--n", "\u0661"),
+            ("--jobs", "\u0663"),
+            ("--jobs", "1_2"),
+            ("--jobs", "\u0661"),
+            ("--budget", "\u0663"),
+            ("--budget", "1_2"),
+            ("--budget", "\u0661"),
         ],
     )
     def test_rejects_bad_flag_value(self, capsys, flag, value):
@@ -308,13 +318,15 @@ class TestVerify:
         assert captured.out == ""
         assert flag in captured.err
 
-    @pytest.mark.parametrize("value", ["abc", "0"])
+    @pytest.mark.parametrize("value", ["abc", "0", "\u0663", "1_2", "\u0661"])
     def test_rejects_bad_jobs_environment(self, capsys, monkeypatch, value):
         monkeypatch.setenv("PD_JOBS", value)
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n", "2"])
         assert exc.value.code == EXIT_USAGE
-        assert "--jobs" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--jobs" in captured.err
 
     def test_bad_jobs_environment_only_matters_to_verify(self, capsys, monkeypatch):
         monkeypatch.setenv("PD_JOBS", "abc")

@@ -521,7 +521,7 @@ class TestSinglePass:
 def derived_dual_rp(rp, ad):
     """dual(RP) as verify_theorem derives it: min(AD) when dual(AD) == RP,
     else MMCS on RP."""
-    return verification._dual_rp(rp, ad, transversal_dual(ad))
+    return verification._dual_rp(rp, minimalize(ad), transversal_dual(ad))
 
 
 def pairwise_transversality(rp, ad):
