@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
@@ -111,7 +111,7 @@ class VerificationRun:
         return sum(1 for report in self.reports if report.passed)
 
 
-def _result_from_offenders(n: int, offenders: list[int]) -> CheckResult:
+def _result_from_offenders(n: int, offenders: Collection[int]) -> CheckResult:
     if not offenders:
         return CheckResult(True)
     return CheckResult(False, SetFamily(n, offenders))
@@ -123,12 +123,6 @@ def _check_transversality(rp: Lanes, ad: SetFamily) -> CheckResult:
     for a in ad.masks:
         met &= rp.nonzero(rp.packed & rp.ones * a)
     return _result_from_offenders(rp.n, rp.select(met ^ rp.top))
-
-
-def _dual_rp(rp: SetFamily, min_ad: SetFamily, dual_ad: SetFamily) -> SetFamily:
-    """dual(RP): min(AD) when dual(AD) == RP (see verify_permutation),
-    else MMCS on RP."""
-    return min_ad if dual_ad == rp else transversal_dual(rp)
 
 
 def _check_dual_reducedness(w: Permutation, dual_ad: Lanes) -> CheckResult:
@@ -175,20 +169,19 @@ def _check_rank_antidiagonal(w: Permutation, rp: Lanes) -> CheckResult:
     return CheckResult(False, SetFamily.from_sets(n, [member, [rect]]))
 
 
-def _check_double_dual(ad: SetFamily, twice: SetFamily) -> CheckResult:
-    if twice == ad:
+def _check_same(got: SetFamily, want: SetFamily) -> CheckResult:
+    # the counterexample is the symmetric difference of the two families
+    if got == want:
         return CheckResult(True)
-    return CheckResult(False, SetFamily(ad.n, set(twice.masks) ^ set(ad.masks)))
+    return _result_from_offenders(want.n, set(got.masks) ^ set(want.masks))
 
 
 def _check_duality(
-    rp: SetFamily, ad: SetFamily, dual_ad: SetFamily, dual_rp: SetFamily
+    rp: SetFamily, dual_ad: SetFamily, double_dual: CheckResult
 ) -> CheckResult:
-    if dual_ad != rp:
-        return CheckResult(False, SetFamily(rp.n, set(dual_ad.masks) ^ set(rp.masks)))
-    if dual_rp != ad:
-        return CheckResult(False, SetFamily(ad.n, set(dual_rp.masks) ^ set(ad.masks)))
-    return CheckResult(True)
+    # once dual(AD) == RP, dual(RP) = dual(dual(AD)) = min(AD) (see
+    # verify_permutation), so the double-dual check is the second half
+    return double_dual if dual_ad == rp else _check_same(dual_ad, rp)
 
 
 def _off_staircase_stats(ad: SetFamily) -> dict[str, int]:
@@ -201,8 +194,8 @@ def verify_theorem(w: Permutation) -> VerificationReport:
     pipe dreams, and dualizing those yields the family back."""
     rp = enumerate_rp(w)
     ad = antidiagonal_family(w)
-    dual_ad = transversal_dual(ad)
-    result = _check_duality(rp, ad, dual_ad, _dual_rp(rp, minimalize(ad), dual_ad))
+    double_dual = _check_same(minimalize(ad), ad)
+    result = _check_duality(rp, transversal_dual(ad), double_dual)
     return VerificationReport(w, {CHECK_DUALITY: result}, _off_staircase_stats(ad))
 
 
@@ -279,7 +272,7 @@ def verify_double_dual(w: Permutation) -> VerificationReport:
     """Check that dualizing twice returns the antidiagonal family."""
     ad = antidiagonal_family(w)
     twice = transversal_dual(transversal_dual(ad))
-    return VerificationReport(w, {CHECK_DOUBLE_DUAL: _check_double_dual(ad, twice)})
+    return VerificationReport(w, {CHECK_DOUBLE_DUAL: _check_same(twice, ad)})
 
 
 def _permutation_matrix_boxes(w: Permutation) -> list[tuple[int, int]]:
@@ -325,28 +318,28 @@ def verify_bruhat_oracle(n: int) -> VerificationReport:
 
 def verify_permutation(w: Permutation) -> VerificationReport:
     """Run every per-permutation check, supporting claims first, in one
-    pass: RP(w), AD(w) and their duals are each computed once.
+    pass: RP(w), AD(w) and dual(AD) are each computed once.
 
     For any family H, dual(dual(H)) = min(H), its minimal members: the
     blocker of a clutter's blocker is the clutter (Edmonds and
     Fulkerson, "Bottleneck extrema", 1970), and dual(H) = dual(min(H)).
-    So dual(dual(AD)) is min(AD), and when dual(AD) == RP so is dual(RP);
-    MMCS runs on RP only when dual(AD) != RP.  The checks that read every
-    dream run once per family on its lanes (see :class:`grid.Lanes`), and
-    RP's lanes serve dual(AD) when the two are equal."""
+    So dual(dual(AD)) is min(AD), and when dual(AD) == RP so is dual(RP):
+    the one MMCS search is on AD, whether the checks pass or fail, and
+    RP is never dualized.  The checks that read every dream run once per
+    family on its lanes (see :class:`grid.Lanes`), and RP's lanes serve
+    dual(AD) when the two are equal."""
     rp = enumerate_rp(w)
     ad = antidiagonal_family(w)
     dual_ad, rejected = dual_with_nonminimal(ad)
-    twice = minimalize(ad)
-    dual_rp = _dual_rp(rp, twice, dual_ad)
+    double_dual = _check_same(minimalize(ad), ad)
     lanes = Lanes(w.n, rp.masks)
     dual_lanes = lanes if dual_ad == rp else Lanes(w.n, dual_ad.masks)
     checks = {
         CHECK_TRANSVERSALITY: _check_transversality(lanes, ad),
         CHECK_DUAL_REDUCEDNESS: _check_dual_reducedness(w, dual_lanes),
         CHECK_RANK_ANTIDIAGONAL: _check_rank_antidiagonal(w, lanes),
-        CHECK_DOUBLE_DUAL: _check_double_dual(ad, twice),
-        CHECK_DUALITY: _check_duality(rp, ad, dual_ad, dual_rp),
+        CHECK_DOUBLE_DUAL: double_dual,
+        CHECK_DUALITY: _check_duality(rp, dual_ad, double_dual),
     }
     return VerificationReport(
         w, checks, {**_nonminimal_stats(rejected), **_off_staircase_stats(ad)}

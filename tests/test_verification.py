@@ -337,21 +337,22 @@ class TestVerifyRange:
         with pytest.raises(ValueError):
             verify_range(0)
 
+    # S_8, not S_7: two jobs can sweep all of S_7 in under a second
     def test_parallel_budget_is_honoured(self):
-        run = verify_range(7, budget_seconds=1, jobs=2)
+        run = verify_range(8, budget_seconds=1, jobs=2)
         assert run.exhausted
         assert run.elapsed < 3
         images = [r.permutation.images for r in run.reports]
-        assert images == [w.images for w in all_permutations(7)][: len(images)]
+        assert images == [w.images for w in all_permutations(8)][: len(images)]
 
     def test_half_second_budget_keeps_a_lexicographic_prefix(self):
         # workers stop at the deadline themselves
-        run = verify_range(7, budget_seconds=0.5, jobs=2)
+        run = verify_range(8, budget_seconds=0.5, jobs=2)
         assert run.exhausted
         assert run.elapsed < 1.5
         images = [r.permutation.images for r in run.reports]
         assert images
-        assert images == [w.images for w in all_permutations(7)][: len(images)]
+        assert images == [w.images for w in all_permutations(8)][: len(images)]
 
     def test_closing_the_sweep_early_stops_every_worker(self):
         reports = iter_verify(7, jobs=2)
@@ -484,18 +485,30 @@ class TestSinglePass:
         # dual(AD) == RP makes dual(RP) min(AD), so RP is never searched
         assert searches == {(ad.masks, _berge_last(ad)): 1}
 
-    def test_rp_searched_only_when_duality_fails(self, monkeypatch):
+    def test_only_ad_searched_when_duality_fails(self, monkeypatch):
         w = parse_permutation("13254")
         rp, ad = enumerate_rp(w), antidiagonal_family(w)
         short = SetFamily.from_sets(rp.n, rp.members[1:])
         monkeypatch.setattr(verification, "enumerate_rp", lambda v: short)
         _, searches = self._counted(monkeypatch)
         report = verify_permutation(w)
-        # dual(AD) differs from short, so short is searched, deferring no
-        # member; dual(AD) itself never is, since dual(dual(AD)) is min(AD)
-        assert searches == {(short.masks, 0): 1, (ad.masks, _berge_last(ad)): 1}
+        # dual(AD) differs from short, which decides the duality check:
+        # neither short nor dual(AD) is searched
+        assert searches == {(ad.masks, _berge_last(ad)): 1}
         assert not report.checks[CHECK_DUALITY].passed
         assert report.checks[CHECK_DOUBLE_DUAL].passed
+
+    @pytest.mark.parametrize("drop", [0, 1])
+    def test_theorem_searches_only_ad(self, monkeypatch, drop):
+        w = parse_permutation("13254")
+        rp, ad = enumerate_rp(w), antidiagonal_family(w)
+        kept = SetFamily.from_sets(rp.n, rp.members[drop:])
+        monkeypatch.setattr(verification, "enumerate_rp", lambda v: kept)
+        _, searches = self._counted(monkeypatch)
+        report = verify_theorem(w)
+        # one search of AD deferring no member, whether RP is intact or not
+        assert searches == {(ad.masks, 0): 1}
+        assert report.checks[CHECK_DUALITY].passed == (not drop)
 
     def test_matches_the_public_checks_over_s5(self):
         for w in all_permutations(5):
@@ -519,9 +532,10 @@ class TestSinglePass:
 
 
 def derived_dual_rp(rp, ad):
-    """dual(RP) as verify_theorem derives it: min(AD) when dual(AD) == RP,
-    else MMCS on RP."""
-    return verification._dual_rp(rp, minimalize(ad), transversal_dual(ad))
+    """dual(RP) by the identity dual(dual(H)) = min(H): min(AD) when
+    dual(AD) == RP, else MMCS on RP.  The verifier reads only the first
+    case; in the second the duality check has already failed."""
+    return minimalize(ad) if transversal_dual(ad) == rp else transversal_dual(rp)
 
 
 def pairwise_transversality(rp, ad):
@@ -532,20 +546,29 @@ def pairwise_transversality(rp, ad):
     )
 
 
+def compare_families(got, want):
+    # a failing comparison names every mask in just one of the families
+    if got == want:
+        return CheckResult(True)
+    return CheckResult(False, SetFamily(want.n, set(got.masks) ^ set(want.masks)))
+
+
 def reference_single_pass(w, rp, ad):
     """verify_permutation with every dual searched, kept as the reference:
-    it dualizes RP and dual(AD) by MMCS."""
+    it dualizes RP and dual(AD) by MMCS, and its duality check compares
+    dual(AD) with RP, then dual(RP) with AD."""
     dual_ad, rejected = transversals.dual_with_nonminimal(ad)
     dual_rp = transversal_dual(rp)
     twice = transversal_dual(dual_ad)
+    duality = compare_families(dual_ad, rp)
     checks = {
         CHECK_TRANSVERSALITY: pairwise_transversality(rp, ad),
         CHECK_DUAL_REDUCEDNESS: verification._check_dual_reducedness(
             w, lanes_of(dual_ad)
         ),
         CHECK_RANK_ANTIDIAGONAL: verification._check_rank_antidiagonal(w, lanes_of(rp)),
-        CHECK_DOUBLE_DUAL: verification._check_double_dual(ad, twice),
-        CHECK_DUALITY: verification._check_duality(rp, ad, dual_ad, dual_rp),
+        CHECK_DOUBLE_DUAL: compare_families(twice, ad),
+        CHECK_DUALITY: duality if not duality.passed else compare_families(dual_rp, ad),
     }
     stats = {
         **verification._nonminimal_stats(rejected),
@@ -622,7 +645,15 @@ class TestCertificate:
                 patch.setattr(verification, "enumerate_rp", lambda v: rp)
                 patch.setattr(verification, "antidiagonal_family", lambda v: ad)
                 report = verify_permutation(w)
-            assert report == reference_single_pass(w, rp, ad), kind
+                theorem = verify_theorem(w)
+            reference = reference_single_pass(w, rp, ad)
+            assert report == reference, kind
+            off = "antidiagonals_off_staircase"
+            assert theorem == VerificationReport(
+                w,
+                {CHECK_DUALITY: reference.checks[CHECK_DUALITY]},
+                {off: reference.stats[off]},
+            ), kind
             assert not report.checks[CHECK_DUALITY].passed
             kinds[kind] += 1
         assert sorted(kinds) == ["drop_rp", "extra_ad", "moved_cell", "nonminimal_ad"]
