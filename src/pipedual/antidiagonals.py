@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .grid import Box
+from .grid import Box, cells
 from .permutations import Permutation, prefix_sets
 from .transversals import SetFamily, minimalize
 
@@ -62,8 +62,7 @@ def antidiagonals_in_rectangle(p: int, q: int, size: int) -> Iterator[Antidiagon
     if size < 0:
         raise ValueError("size must be non-negative")
     for mask in _chains(q, 1, p, q, size):
-        cells = (i for i in range(p * q) if mask >> i & 1)
-        yield Antidiagonal(tuple((i // q + 1, i % q + 1) for i in cells))
+        yield Antidiagonal(tuple((i // q + 1, i % q + 1) for i in cells(mask)))
 
 
 def essential_set(w: Permutation) -> tuple[Box, ...]:
@@ -79,10 +78,9 @@ def essential_set(w: Permutation) -> tuple[Box, ...]:
     # diagram row p: the columns left of w(p) whose one-entry lies below p
     rows = [((1 << j - 1) - 1) & ~s for j, s in zip(w.images, prefix_sets(w))]
     return tuple(
-        (p, q)
+        (p, i + 1)
         for p, (row, below) in enumerate(zip(rows, rows[1:] + [0]), 1)
-        for q in range(1, w.n + 1)
-        if (row & ~below & ~(row >> 1)) >> q - 1 & 1
+        for i in cells(row & ~below & ~(row >> 1))
     )
 
 

@@ -32,9 +32,9 @@ from .schubert import polynomial_to_json, polynomial_to_str, schubert_polynomial
 from .transversals import (
     FamilyFormatError,
     SetFamily,
-    _ordered_members,
     family_from_json,
     family_to_json,
+    family_to_text,
     transversal_dual,
 )
 from .verification import iter_verify, report_to_json
@@ -54,13 +54,6 @@ class _CliError(Exception):
         self.code = code
 
 
-def _family_text(family: SetFamily) -> str:
-    members = _ordered_members(
-        family, "({},{})".format, lambda boxes: "{" + ", ".join(boxes) + "}"
-    )
-    return "\n".join(members)
-
-
 def _print_family(family: SetFamily, fmt: str) -> None:
     if fmt == "json":
         print(family_to_json(family))
@@ -71,7 +64,7 @@ def _print_family(family: SetFamily, fmt: str) -> None:
         ]
         print("\n\n".join(blocks))
     else:
-        text = _family_text(family)
+        text = family_to_text(family)
         if text:
             print(text)
 

@@ -30,6 +30,25 @@ def pack(n: int, boxes: Iterable[Box]) -> int:
     return mask
 
 
+def cells(mask: int) -> list[int]:
+    """The ascending bit indices of a mask, (r - 1) * n + c - 1 for each box
+    (r, c) of :func:`pack`; they compare as sorted box tuples, a prefix first.
+
+    >>> [(i // 3 + 1, i % 3 + 1) for i in cells(pack(3, [(2, 1), (1, 3)]))]
+    [(1, 3), (2, 1)]
+    >>> cells(0)
+    []
+    >>> cells(1 << 80 | 1 << 64 | 1)
+    [0, 64, 80]
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class Lanes:
     """Masks of the n x n grid side by side in one int: mask i fills lane
     i, which is 8 * (n * n // 8 + 1) bits wide, so its top bit lies above

@@ -19,7 +19,7 @@ from itertools import pairwise, starmap
 from operator import eq, or_
 from typing import Callable, Iterable
 
-from .grid import Box, pack
+from .grid import Box, cells, pack
 
 
 class FamilyFormatError(ValueError):
@@ -192,41 +192,19 @@ def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
 def _ordered_members(family: SetFamily, cell: Callable, join: Callable) -> list:
     """The members of the family in canonical order (boxes by (row, col),
     members lexicographically), each as ``join`` of the list of its boxes
-    written by ``cell(r, c)``.
-
-    A member's sort key is its cell indices in ascending bit order, each
-    as big-endian bytes of one fixed width, so comparing keys compares
-    box tuples, a prefix first.  Keys and boxes are written per nonempty
-    row from a cache keyed by (row, row bits), so a member costs one step
-    per row that holds a box, whatever the size of the grid.
+    written by ``cell(r, c)``.  Members sort by their :func:`grid.cells`
+    lists, which compare as their box tuples do; each box of the union of
+    the masks is written once, so costs follow the boxes, not the n^2 cells.
     """
     n = family.n
-    full = (1 << n) - 1
-    width = ((n * n).bit_length() + 7) // 8
-    rows: dict[tuple[int, int], tuple[bytes, list]] = {}
-    keyed = []
-    for mask in family.masks:
-        keys, boxes = [], []
-        while mask:
-            r = ((mask & -mask).bit_length() - 1) // n
-            bits = mask >> r * n & full
-            mask ^= bits << r * n
-            if (piece := rows.get((r, bits))) is None:
-                cs = [c for c in range(bits.bit_length()) if bits >> c & 1]
-                piece = rows[r, bits] = (
-                    b"".join((r * n + c).to_bytes(width, "big") for c in cs),
-                    [cell(r + 1, c + 1) for c in cs],
-                )
-            keys.append(piece[0])
-            boxes += piece[1]
-        keyed.append((b"".join(keys), join(boxes)))
-    keyed.sort()  # masks are distinct, so no two keys tie
-    return [member for _key, member in keyed]
+    union = reduce(or_, family.masks, 0)
+    names = {i: cell(i // n + 1, i % n + 1) for i in cells(union)}
+    return [join([names[i] for i in m]) for m in sorted(map(cells, family.masks))]
 
 
 def family_to_json_obj(family: SetFamily) -> dict:
     """The family as the JSON object that :func:`family_to_json` writes."""
-    return json.loads(family_to_json(family))
+    return {"n": family.n, "members": [list(map(list, m)) for m in family.members]}
 
 
 def family_to_json(family: SetFamily) -> str:
@@ -236,6 +214,13 @@ def family_to_json(family: SetFamily) -> str:
         family, "[{},{}]".format, lambda boxes: f"[{','.join(boxes)}]"
     )
     return f'{{"n":{family.n},"members":[{",".join(members)}]}}'
+
+
+def family_to_text(family: SetFamily) -> str:
+    """One member per line, ``{(r,c), ...}``, in canonical order."""
+    return "\n".join(
+        _ordered_members(family, "({},{})".format, lambda b: "{" + ", ".join(b) + "}")
+    )
 
 
 def family_from_json_obj(obj) -> SetFamily:

@@ -27,7 +27,7 @@ from itertools import islice
 from math import factorial
 
 from .antidiagonals import antidiagonal_family
-from .grid import Lanes, pack, staircase_boxes
+from .grid import Lanes, cells, pack, staircase_boxes
 from .permutations import (
     Permutation,
     all_permutations,
@@ -164,9 +164,8 @@ def _check_rank_antidiagonal(w: Permutation, rp: Lanes) -> CheckResult:
     if not failures:
         return CheckResult(True)
     # the witness is the first offender in members order, not masks order
-    member = SetFamily(n, failures).members[0]
-    rect = failures[pack(n, member)]
-    return CheckResult(False, SetFamily.from_sets(n, [member, [rect]]))
+    mask = min(failures, key=cells)
+    return CheckResult(False, SetFamily(n, (mask, pack(n, [failures[mask]]))))
 
 
 def _check_same(got: SetFamily, want: SetFamily) -> CheckResult:

@@ -15,7 +15,6 @@ from pipedual.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
     EXIT_USAGE,
-    _family_text,
     build_parser,
     main,
 )
@@ -25,6 +24,7 @@ from pipedual.transversals import (
     family_from_json,
     family_to_json,
     family_to_json_obj,
+    family_to_text,
 )
 from pipedual.verification import (
     CheckResult,
@@ -420,7 +420,7 @@ def family_st():
             lambda sets: SetFamily.from_sets(n, sets)
         )
 
-    # n = 300 puts cells past 65,535, so keys need three bytes a cell
+    # n = 300 puts cells past 65,535, the largest two-byte index
     return st.sampled_from([1, 2, 3, 5, 9, 17, 300]).flatmap(build)
 
 
@@ -451,7 +451,7 @@ class TestMaskWriter:
         assert family_to_json(family) == json.dumps(
             _old_json_obj(family), separators=(",", ":")
         )
-        assert _family_text(family) == "\n".join(_format_member(m) for m in members)
+        assert family_to_text(family) == "\n".join(_format_member(m) for m in members)
 
 
 class TestPinnedBytes:

@@ -16,6 +16,7 @@ from pipedual.transversals import (
     family_from_json_obj,
     family_to_json,
     family_to_json_obj,
+    family_to_text,
     is_minimal_transversal,
     is_transversal,
     minimalize,
@@ -120,6 +121,35 @@ def box_lists_st(max_n=9, max_members=6, max_size=6):
 class TestWideMasks:
     @given(box_lists_st())
     @example((9, [[(9, 9), (1, 1), (9, 9)], [(8, 9)], [], [(1, 1), (9, 9)]]))
+    # n = 256 is the first grid whose n^2 takes 17 bits; on the 300 x 300
+    # grid (219, 136) is cell 65,535 and (219, 137) cell 65,536
+    @example(
+        (
+            256,
+            [
+                [(1, 2), (1, 1)],
+                [(1, 1)],
+                [(1, 1), (1, 2), (256, 256)],
+                [(256, 256), (256, 1)],
+                [(256, 1)],
+                [(255, 256), (256, 1)],
+            ],
+        )
+    )
+    @example(
+        (
+            300,
+            [
+                [(219, 137)],
+                [(219, 136), (219, 137)],
+                [(219, 136)],
+                [(219, 136), (219, 137), (300, 300)],
+                [(1, 300), (300, 1), (300, 300)],
+                [(1, 1)],
+                [(1, 1), (300, 300)],
+            ],
+        )
+    )
     def test_members_round_trip(self, case):
         n, sets = case
         family = SetFamily.from_sets(n, sets)
@@ -128,6 +158,13 @@ class TestWideMasks:
         assert len(family) == len(canonical)
         assert SetFamily.from_sets(n, family.members) == family
         assert family_from_json(family_to_json(family)) == family
+        # every writer lists the members in ``members`` order
+        boxes = [[[r, c] for (r, c) in m] for m in family.members]
+        assert family_to_json_obj(family) == {"n": n, "members": boxes}
+        assert json.loads(family_to_json(family))["members"] == boxes
+        assert family_to_text(family) == "\n".join(
+            "{" + ", ".join(f"({r},{c})" for (r, c) in m) + "}" for m in family.members
+        )
 
 
 class TestIsTransversal:
