@@ -4,8 +4,9 @@
 Runs the CLI of a checkout in a child process and records, under a
 label, the wall time, the CPU time of the child and its workers, the
 peak RSS of the largest of those processes (``resource.getrusage`` of
-the children), the size and sha256 of stdout, the exit status and the
-checkout's commit.  The record replaces any record with the same label
+the children), the size and sha256 of stdout, the last line of stderr
+(where a budgeted sweep says how many permutations it checked), the exit
+status and the checkout's commit.  The record replaces any record with the same label
 in the output file, so a before/after pair is two runs of this script
 on one machine:
 
@@ -23,6 +24,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -55,14 +57,19 @@ def sweep(checkout: Path, n: int, jobs: int, budget: float | None) -> dict:
     size = 0
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
-    with subprocess.Popen(
+    # stderr goes to a file, so a full pipe cannot stall the sweep
+    with tempfile.TemporaryFile() as err, subprocess.Popen(
         [sys.executable, "-m", "pipedual", *argv], cwd=checkout, env=env,
-        stdout=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=err,
     ) as proc:
         for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
             digest.update(chunk)
             size += len(chunk)
+        proc.wait()
+        err.seek(0)
+        stderr = err.read().decode(errors="replace")
     wall = time.perf_counter() - start
+    sys.stderr.write(stderr)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     return {
@@ -74,6 +81,8 @@ def sweep(checkout: Path, n: int, jobs: int, budget: float | None) -> dict:
         "peak_rss_mb": round(after.ru_maxrss / 1024, 1),
         "stdout_bytes": size,
         "stdout_sha256": digest.hexdigest(),
+        # the last stderr line: how many permutations a budgeted sweep checked
+        "stderr_tail": stderr.strip().rsplit("\n", 1)[-1],
     }
 
 

@@ -15,11 +15,14 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import pairwise, starmap
+from itertools import compress, pairwise, starmap
 from operator import eq, or_
 from typing import Callable, Iterable
 
 from .grid import Box, cells, pack
+
+_SET_FIRST = str.maketrans("01", "10")  # member keys: "0" marks a set bit
+_PICK = bytes.maketrans(b"01", b"\1\0")  # a key's set bits as compress selectors
 
 
 class FamilyFormatError(ValueError):
@@ -125,11 +128,20 @@ def _mmcs(members: tuple[int, ...], last: int) -> tuple[list[int], list[int]]:
     child for its i-th cell may not use its later cells, so every minimal
     transversal is found once.  A child whose cell leaves an earlier cell
     without a critical member is cut, so every node is a minimal transversal
-    of the members it meets.  ``last`` is listed only once the others are
-    met, so until a cell of it is chosen a node is one a search of the
-    others would hold: the p are the nodes left with only ``last`` unmet,
-    each once, and p | c is minimal iff c passes the cut (``last`` is
-    critical for c).
+    of the members it meets, and a child that meets every member goes into
+    the result without being pushed.  ``last`` is listed only once the
+    others are met, so until a cell of it is chosen a node is one a search
+    of the others would hold: the p are the nodes left with only ``last``
+    unmet, each once, and p | c is minimal iff c passes the cut (``last``
+    is critical for c).
+
+    The critical sets share one int, a lane of ``len(members) // 8 + 1``
+    bytes per chosen cell with a spare top bit, as in :class:`grid.Lanes`.
+    Each chosen cell has a critical member of its own, so a node holds at
+    most min(#cells, #members) cells; the members missing each cell fill
+    that many lanes once per search.  The cut clears a cell's holders with
+    one ``&`` and adds 2^(8 size - 1) - 1 to each lane: it carries into the
+    top bits of exactly the nonzero lanes.
     """
     # per cell: the members containing it, as a bit set over member indices
     holders: dict[int, int] = {}
@@ -138,18 +150,28 @@ def _mmcs(members: tuple[int, ...], last: int) -> tuple[list[int], list[int]]:
             cell = member & -member
             member ^= cell
             holders[cell] = holders.get(cell, 0) | 1 << i
-    deferred = [(cell, held) for cell, held in holders.items() if cell & last]
+    size, depth = len(members) // 8 + 1, min(len(holders), len(members))
+    everyone = (1 << len(members)) - 1
+    # each cell's non-holders in every lane, by bytes (a product is quadratic)
+    keep = {c: int.from_bytes((everyone ^ h).to_bytes(size, "little") * depth, "little")
+            for c, h in holders.items()}
+    fill, top = b"\xff" * (size - 1) + b"\x7f", bytes(size - 1) + b"\x80"
+    lanes = [(int.from_bytes(fill * d, "little"), int.from_bytes(top * d, "little"))
+             for d in range(depth + 1)]
+    deferred = [cell for cell in holders if cell & last]
     found, rejects = [], []
     listed = [m for m in members if m != last or not last]
-    stack = [(0, reduce(or_, members, 0), (1 << len(members)) - 1, listed, ())]
+    stack = [(0, reduce(or_, members, 0), everyone, listed, 0)]
     while stack:
         chosen, allowed, unmet, open_members, critical = stack.pop()
+        d = chosen.bit_count()
+        fill, top = lanes[d]
         if not open_members:
-            if not unmet:
+            if not unmet:  # only the root of a search without members
                 found.append(chosen)
                 continue
-            for cell, held in deferred:  # only last is unmet: chosen is a p
-                if not all(c & ~held for c in critical):
+            for cell in deferred:  # only last is unmet: chosen is a p
+                if ((critical & keep[cell]) + fill) & top != top:
                     rejects.append(chosen | cell)
             open_members = [last]
         branch, fewest = allowed, allowed.bit_count()
@@ -163,13 +185,15 @@ def _mmcs(members: tuple[int, ...], last: int) -> tuple[list[int], list[int]]:
         while branch:
             cell = branch & -branch
             branch ^= cell
-            held = holders[cell]
-            still = [c & ~held for c in critical]
-            if all(still):
-                still.append(unmet & held)
-                rest = [m for m in open_members if not m & cell]
-                child = (chosen | cell, allowed, unmet & ~held, rest, tuple(still))
-                stack.append(child)
+            still = critical & keep[cell]
+            if (still + fill) & top == top:
+                held = holders[cell]
+                if not unmet & ~held:
+                    found.append(chosen | cell)
+                else:
+                    rest = [m for m in open_members if not m & cell]
+                    still |= (unmet & held) << 8 * size * d
+                    stack.append((chosen | cell, allowed, unmet & ~held, rest, still))
             allowed |= cell
     return found, rejects
 
@@ -191,15 +215,21 @@ def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
 
 def _ordered_members(family: SetFamily, cell: Callable, join: Callable) -> list:
     """The members of the family in canonical order (boxes by (row, col),
-    members lexicographically), each as ``join`` of the list of its boxes
-    written by ``cell(r, c)``.  Members sort by their :func:`grid.cells`
-    lists, which compare as their box tuples do; each box of the union of
-    the masks is written once, so costs follow the boxes, not the n^2 cells.
+    members lexicographically), each as ``join`` of an iterator over its
+    boxes written by ``cell(r, c)``.  Members sort by their ``bin`` strings
+    reversed, bit 0 first ("" for the empty member), set bits read as
+    smaller: where two keys first differ, the member holding that bit has
+    the smaller next cell, and a prefix key is a member whose cells start
+    the other's, so keys compare as :func:`grid.cells` lists do.  Each box
+    of the union is named once and picked by ``itertools.compress``.
     """
     n = family.n
     union = reduce(or_, family.masks, 0)
-    names = {i: cell(i // n + 1, i % n + 1) for i in cells(union)}
-    return [join([names[i] for i in m]) for m in sorted(map(cells, family.masks))]
+    names = [None] * union.bit_length()
+    for i in cells(union):
+        names[i] = cell(i // n + 1, i % n + 1)
+    keys = sorted(bin(m)[:1:-1].rstrip("0").translate(_SET_FIRST) for m in family.masks)
+    return [join(compress(names, key.encode().translate(_PICK))) for key in keys]
 
 
 def family_to_json_obj(family: SetFamily) -> dict:

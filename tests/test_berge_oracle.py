@@ -149,6 +149,43 @@ class TestMmcsAgainstBerge:
         assert len(rejects) == 0
         assert_same_duals(family)
 
+    # MMCS keeps each chosen cell's critical members in a lane of
+    # len(members) // 8 + 1 bytes: these counts put the lane's spare top bit
+    # on either side of a byte, two bytes and a 64-bit word
+    LANE_COUNTS = [7, 8, 9, 15, 16, 17, 63, 64, 65]
+
+    @pytest.mark.parametrize("count", LANE_COUNTS)
+    @pytest.mark.parametrize("n,sizes", [(4, (2, 8)), (5, (3, 12)), (5, (1, 5))])
+    def test_lane_boundary_counts(self, count, n, sizes):
+        rng = random.Random(count * 100 + n * 10 + sizes[0])
+        for _ in range(2):
+            masks = set()
+            while len(masks) < count:
+                boxes = rng.sample(range(n * n), rng.randint(*sizes))
+                masks.add(sum(1 << i for i in boxes))
+            family = SetFamily(n, masks)
+            assert len(family) == count
+            assert transversal_dual(family) == berge_dual(family)
+            assert_same_duals(family)
+
+    @pytest.mark.parametrize("count", LANE_COUNTS)
+    @pytest.mark.parametrize("others", [0, 1, 3])
+    def test_transversals_as_deep_as_the_members(self, count, others):
+        # count - others disjoint singletons and `others` members of two to
+        # four further cells: every minimal transversal takes one cell per
+        # member, min(#cells, #members) = count of them
+        rng = random.Random(count + others)
+        picked = rng.sample(range(81), 81)
+        singles, spare = picked[: count - others], picked[count - others:]
+        masks = [1 << i for i in singles]
+        for j in range(others):
+            masks.append(sum(1 << i for i in spare[4 * j: 4 * j + rng.randint(2, 4)]))
+        family = SetFamily(9, masks)
+        dual = transversal_dual(family)
+        assert dual == berge_dual(family)
+        assert {m.bit_count() for m in dual.masks} == {count}
+        assert_same_duals(family)
+
     def test_rejects_match_the_last_round(self):
         rng = random.Random(2014)
         with_rejects = 0

@@ -102,6 +102,7 @@ class TestBenchSweep:
             assert run["exit_status"] == 0
             assert run["stdout_bytes"] == len(payload)
             assert run["stdout_sha256"] == hashlib.sha256(payload).hexdigest()
+            assert run["stderr_tail"] == ""
             assert run["wall_s"] > 0 and run["cpu_s"] > 0 and run["peak_rss_mb"] > 1
             assert run["commit"]
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 import tracemalloc
@@ -6,8 +8,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pipedual.antidiagonals import antidiagonal_family
+from pipedual.cli import _print_family
+from pipedual.grid import cells
 from pipedual.permutations import parse_permutation
-from pipedual.pipedreams import enumerate_rp
+from pipedual.pipedreams import PipeDream, enumerate_rp, render_ascii
 from pipedual.transversals import (
     FamilyFormatError,
     SetFamily,
@@ -165,6 +169,57 @@ class TestWideMasks:
         assert family_to_text(family) == "\n".join(
             "{" + ", ".join(f"({r},{c})" for (r, c) in m) + "}" for m in family.members
         )
+
+
+def order_case_st():
+    """A grid whose n^2 takes 8, 9, 16 or 17 bits; members of up to eight
+    cells, drawn near bit 0, bits 2^8 and 2^16 and the last cell; every
+    prefix of each drawn member (by cell index); and maybe the empty member."""
+
+    def build(n):
+        last = n * n - 1
+        near = [(0, 40), (248, 263), (65_528, 65_543), (last - 40, last)]
+        cell = st.one_of(
+            [st.integers(lo, min(hi, last)) for lo, hi in near if lo <= last]
+        )
+        return st.tuples(
+            st.just(n), st.lists(st.lists(cell, max_size=8), max_size=8), st.booleans()
+        )
+
+    return st.sampled_from([16, 17, 256, 257]).flatmap(build)
+
+
+class TestMemberOrder:
+    @given(order_case_st())
+    @example((17, [[0, 255, 256], [0, 255], [255], [256, 288], [0, 256]], True))
+    @example((257, [[1, 65_535, 65_536], [1, 65_536], [65_535], [66_048]], False))
+    def test_writers_follow_sorted_cell_lists(self, case):
+        n, drawn, with_empty = case
+        masks = [0] if with_empty else []
+        for member in drawn:
+            ordered = sorted(set(member))
+            masks += [sum(1 << i for i in ordered[:k]) for k in range(1, len(ordered) + 1)]
+        family = SetFamily(n, masks)
+        # the order as it was first defined: members sorted by cell lists
+        order = [
+            tuple((i // n + 1, i % n + 1) for i in m)
+            for m in sorted(map(cells, family.masks))
+        ]
+        assert family.members == tuple(order)
+        assert json.loads(family_to_json(family))["members"] == [
+            [[r, c] for (r, c) in m] for m in order
+        ]
+        assert family_to_text(family) == "\n".join(
+            "{" + ", ".join(f"({r},{c})" for (r, c) in m) + "}" for m in order
+        )
+        # the ascii writer draws the whole grid, so it gets a few staircase
+        # members only
+        stair = [m for m in order if all(r + c <= n for (r, c) in m)][-4:]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _print_family(SetFamily.from_sets(n, stair), "ascii")
+        blocks = [render_ascii(PipeDream(n, frozenset(m))) for m in stair]
+        assert out.getvalue() == "\n\n".join(blocks) + "\n"
 
 
 class TestIsTransversal:
