@@ -6,9 +6,9 @@ label, the wall time, the CPU time of the child and its workers, the
 peak RSS of the largest of those processes (``resource.getrusage`` of
 the children), the size and sha256 of stdout, the last line of stderr
 (where a budgeted sweep says how many permutations it checked), the exit
-status and the checkout's commit.  The record replaces any record with the same label
-in the output file, so a before/after pair is two runs of this script
-on one machine:
+status and the checkout's commit.  The record replaces any record with
+the same label in the output file, so a before/after pair is two runs of
+this script on one machine:
 
     python scripts/bench_sweep.py --n 8 --jobs 2 --budget 100000 \\
         --checkout ../parent --label before --out BENCH_s8.json

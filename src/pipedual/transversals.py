@@ -155,9 +155,9 @@ def _mmcs(members: tuple[int, ...], last: int) -> tuple[list[int], list[int]]:
     # each cell's non-holders in every lane, by bytes (a product is quadratic)
     keep = {c: int.from_bytes((everyone ^ h).to_bytes(size, "little") * depth, "little")
             for c, h in holders.items()}
-    fill, top = b"\xff" * (size - 1) + b"\x7f", bytes(size - 1) + b"\x80"
-    lanes = [(int.from_bytes(fill * d, "little"), int.from_bytes(top * d, "little"))
-             for d in range(depth + 1)]
+    ones_below, top_bit = b"\xff" * (size - 1) + b"\x7f", bytes(size - 1) + b"\x80"
+    lanes = [(int.from_bytes(ones_below * d, "little"),
+              int.from_bytes(top_bit * d, "little")) for d in range(depth + 1)]
     deferred = [cell for cell in holders if cell & last]
     found, rejects = [], []
     listed = [m for m in members if m != last or not last]
