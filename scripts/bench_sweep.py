@@ -6,9 +6,9 @@ label, the wall time, the CPU time of the child and its workers, the
 peak RSS of the largest of those processes (``resource.getrusage`` of
 the children), the size and sha256 of stdout, the last line of stderr
 (where a budgeted sweep says how many permutations it checked), the exit
-status and the checkout's commit.  The record replaces any record with
-the same label in the output file, so a before/after pair is two runs of
-this script on one machine:
+status and the checkout's commit; the child's stderr is passed on as it
+comes.  The record replaces any record with the same label in the output
+file, so a before/after pair is two runs of this script on one machine:
 
     python scripts/bench_sweep.py --n 8 --jobs 2 --budget 100000 \\
         --checkout ../parent --label before --out BENCH_s8.json
@@ -24,7 +24,7 @@ import platform
 import resource
 import subprocess
 import sys
-import tempfile
+import threading
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -57,19 +57,26 @@ def sweep(checkout: Path, n: int, jobs: int, budget: float | None) -> dict:
     size = 0
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
-    # stderr goes to a file, so a full pipe cannot stall the sweep
-    with tempfile.TemporaryFile() as err, subprocess.Popen(
+    tail = [""]
+
+    def echo(stream) -> None:  # drains stderr, so a full pipe cannot stall the sweep
+        for line in iter(stream.readline, b""):
+            text = line.decode(errors="replace")
+            sys.stderr.write(text)
+            sys.stderr.flush()
+            tail[0] = text.strip() or tail[0]
+
+    with subprocess.Popen(
         [sys.executable, "-m", "pipedual", *argv], cwd=checkout, env=env,
-        stdout=subprocess.PIPE, stderr=err,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     ) as proc:
+        reader = threading.Thread(target=echo, args=(proc.stderr,))
+        reader.start()
         for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
             digest.update(chunk)
             size += len(chunk)
-        proc.wait()
-        err.seek(0)
-        stderr = err.read().decode(errors="replace")
+        reader.join()
     wall = time.perf_counter() - start
-    sys.stderr.write(stderr)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     return {
@@ -82,7 +89,7 @@ def sweep(checkout: Path, n: int, jobs: int, budget: float | None) -> dict:
         "stdout_bytes": size,
         "stdout_sha256": digest.hexdigest(),
         # the last stderr line: how many permutations a budgeted sweep checked
-        "stderr_tail": stderr.strip().rsplit("\n", 1)[-1],
+        "stderr_tail": tail[0],
     }
 
 

@@ -15,14 +15,14 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, pairwise, starmap
-from operator import eq, or_
+from itertools import compress, pairwise, repeat, starmap
+from operator import eq, itemgetter, or_
 from typing import Callable, Iterable
 
 from .grid import Box, cells, pack
 
-_SET_FIRST = str.maketrans("01", "10")  # member keys: "0" marks a set bit
 _PICK = bytes.maketrans(b"01", b"\1\0")  # a key's set bits as compress selectors
+_LANE_TABLE_BYTES = 1 << 22  # bound on the lane copies one MMCS search keeps
 
 
 class FamilyFormatError(ValueError):
@@ -128,20 +128,18 @@ def _mmcs(members: tuple[int, ...], last: int) -> tuple[list[int], list[int]]:
     child for its i-th cell may not use its later cells, so every minimal
     transversal is found once.  A child whose cell leaves an earlier cell
     without a critical member is cut, so every node is a minimal transversal
-    of the members it meets, and a child that meets every member goes into
-    the result without being pushed.  ``last`` is listed only once the
-    others are met, so until a cell of it is chosen a node is one a search
-    of the others would hold: the p are the nodes left with only ``last``
-    unmet, each once, and p | c is minimal iff c passes the cut (``last``
-    is critical for c).
+    of the members it meets; one meeting all is a result, never pushed.
+    ``last`` is listed only once the others are met, so until a cell of it
+    is chosen a node is one a search of the others would hold: the p are
+    the nodes left with only ``last`` unmet, each once, and p | c is minimal
+    iff c passes the cut (``last`` is critical for c).
 
-    The critical sets share one int, a lane of ``len(members) // 8 + 1``
-    bytes per chosen cell with a spare top bit, as in :class:`grid.Lanes`.
-    Each chosen cell has a critical member of its own, so a node holds at
-    most min(#cells, #members) cells; the members missing each cell fill
-    that many lanes once per search.  The cut clears a cell's holders with
-    one ``&`` and adds 2^(8 size - 1) - 1 to each lane: it carries into the
-    top bits of exactly the nonzero lanes.
+    Critical sets share one int, as in :class:`grid.Lanes`: per chosen cell
+    (at most min(#cells, #members), each with a critical member of its own)
+    a lane of ``len(members) // 8 + 1`` bytes with a spare top bit.  The
+    cut ANDs the lanes with the cell's non-holders and takes them from the
+    top bits, which survive on exactly the emptied lanes; repeats over the
+    lanes are tabulated up to ``_LANE_TABLE_BYTES``, then built per use.
     """
     # per cell: the members containing it, as a bit set over member indices
     holders: dict[int, int] = {}
@@ -150,14 +148,16 @@ def _mmcs(members: tuple[int, ...], last: int) -> tuple[list[int], list[int]]:
             cell = member & -member
             member ^= cell
             holders[cell] = holders.get(cell, 0) | 1 << i
-    size, depth = len(members) // 8 + 1, min(len(holders), len(members))
-    everyone = (1 << len(members)) - 1
-    # each cell's non-holders in every lane, by bytes (a product is quadratic)
-    keep = {c: int.from_bytes((everyone ^ h).to_bytes(size, "little") * depth, "little")
-            for c, h in holders.items()}
-    ones_below, top_bit = b"\xff" * (size - 1) + b"\x7f", bytes(size - 1) + b"\x80"
-    lanes = [(int.from_bytes(ones_below * d, "little"),
-              int.from_bytes(top_bit * d, "little")) for d in range(depth + 1)]
+    size, everyone = len(members) // 8 + 1, (1 << len(members)) - 1
+    # one lane's bytes: each cell's non-holders, and the top bit
+    lane = {c: (everyone ^ h).to_bytes(size, "little") for c, h in holders.items()}
+    top_lane = bytes(size - 1) + b"\x80"
+
+    def repeated(pattern: bytes, lanes: int) -> int:  # by bytes: a product is quadratic
+        return int.from_bytes(pattern * lanes, "little")
+    cap = min(len(holders), len(members), _LANE_TABLE_BYTES // (size * len(holders) or 1))
+    keep = {c: repeated(b, cap) for c, b in lane.items()}
+    tops = [repeated(top_lane, d) for d in range(cap + 1)]
     deferred = [cell for cell in holders if cell & last]
     found, rejects = [], []
     listed = [m for m in members if m != last or not last]
@@ -165,13 +165,14 @@ def _mmcs(members: tuple[int, ...], last: int) -> tuple[list[int], list[int]]:
     while stack:
         chosen, allowed, unmet, open_members, critical = stack.pop()
         d = chosen.bit_count()
-        fill, top = lanes[d]
+        top = tops[d] if d <= cap else repeated(top_lane, d)
         if not open_members:
             if not unmet:  # only the root of a search without members
                 found.append(chosen)
                 continue
             for cell in deferred:  # only last is unmet: chosen is a p
-                if ((critical & keep[cell]) + fill) & top != top:
+                cut = keep[cell] if d <= cap else repeated(lane[cell], d)
+                if (top - (critical & cut)) & top:
                     rejects.append(chosen | cell)
             open_members = [last]
         branch, fewest = allowed, allowed.bit_count()
@@ -185,10 +186,9 @@ def _mmcs(members: tuple[int, ...], last: int) -> tuple[list[int], list[int]]:
         while branch:
             cell = branch & -branch
             branch ^= cell
-            still = critical & keep[cell]
-            if (still + fill) & top == top:
-                held = holders[cell]
-                if not unmet & ~held:
+            still = critical & (keep[cell] if d <= cap else repeated(lane[cell], d))
+            if not (top - still) & top:
+                if not unmet & ~(held := holders[cell]):
                     found.append(chosen | cell)
                 else:
                     rest = [m for m in open_members if not m & cell]
@@ -216,19 +216,19 @@ def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
 def _ordered_members(family: SetFamily, cell: Callable, join: Callable) -> list:
     """The members of the family in canonical order (boxes by (row, col),
     members lexicographically), each as ``join`` of an iterator over its
-    boxes written by ``cell(r, c)``.  Members sort by their ``bin`` strings
-    reversed, bit 0 first ("" for the empty member), set bits read as
-    smaller: where two keys first differ, the member holding that bit has
-    the smaller next cell, and a prefix key is a member whose cells start
-    the other's, so keys compare as :func:`grid.cells` lists do.  Each box
-    of the union is named once and picked by ``itertools.compress``.
+    boxes written by ``cell(r, c)``.  A key has one character per cell of
+    the union of the masks, ascending: "0" if the member has it, else "1",
+    trailing "1"s stripped.  Where keys first differ, the member with "0"
+    has the smaller next cell, and a prefix key's cells start the other's,
+    so keys compare as :func:`grid.cells` lists do, at the union's length.
     """
-    n = family.n
-    union = reduce(or_, family.masks, 0)
-    names = [None] * union.bit_length()
-    for i in cells(union):
-        names[i] = cell(i // n + 1, i % n + 1)
-    keys = sorted(bin(m)[:1:-1].rstrip("0").translate(_SET_FIRST) for m in family.masks)
+    n, union = family.n, reduce(or_, family.masks, 0)
+    at, width = cells(union), union.bit_length()
+    names = [cell(i // n + 1, i % n + 1) for i in at]
+    # bin(x | 1 << width) has bit i at width + 2 - i, and a last "1" at 2
+    picks = itemgetter(*[width + 2 - i for i in at], 2)
+    missed = map(bin, map((union | 1 << width).__xor__, family.masks))
+    keys = sorted(map(str.rstrip, map("".join, map(picks, missed)), repeat("1")))
     return [join(compress(names, key.encode().translate(_PICK))) for key in keys]
 
 

@@ -3,11 +3,14 @@ the oracle itself against brute force."""
 
 import itertools
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from berge_oracle import berge_dual, berge_dual_with_nonminimal
 from hypothesis import example, given, strategies as st
 
+from pipedual import transversals
 from pipedual.antidiagonals import antidiagonal_family
 from pipedual.permutations import Permutation, all_permutations
 from pipedual.pipedreams import enumerate_rp
@@ -89,6 +92,14 @@ def assert_same_duals(family):
     assert dual_with_nonminimal(family) == berge_dual_with_nonminimal(family)
 
 
+def tabulate_lanes(monkeypatch, family, lanes):
+    """Let MMCS on the family tabulate its lane repeats for `lanes` chosen
+    cells only, and build them per use deeper down."""
+    size = len(family) // 8 + 1
+    cells = reduce(or_, family.masks, 0).bit_count()
+    monkeypatch.setattr(transversals, "_LANE_TABLE_BYTES", lanes * size * cells)
+
+
 class TestMmcsAgainstBerge:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_rp_and_ad_exhaustive(self, n):
@@ -156,7 +167,7 @@ class TestMmcsAgainstBerge:
 
     @pytest.mark.parametrize("count", LANE_COUNTS)
     @pytest.mark.parametrize("n,sizes", [(4, (2, 8)), (5, (3, 12)), (5, (1, 5))])
-    def test_lane_boundary_counts(self, count, n, sizes):
+    def test_lane_boundary_counts(self, monkeypatch, count, n, sizes):
         rng = random.Random(count * 100 + n * 10 + sizes[0])
         for _ in range(2):
             masks = set()
@@ -167,13 +178,20 @@ class TestMmcsAgainstBerge:
             assert len(family) == count
             assert transversal_dual(family) == berge_dual(family)
             assert_same_duals(family)
+            tabulated = dual_with_nonminimal(family)
+            for lanes in (0, 2):
+                with monkeypatch.context() as patch:
+                    tabulate_lanes(patch, family, lanes)
+                    assert dual_with_nonminimal(family) == tabulated
 
     @pytest.mark.parametrize("count", LANE_COUNTS)
     @pytest.mark.parametrize("others", [0, 1, 3])
-    def test_transversals_as_deep_as_the_members(self, count, others):
+    @pytest.mark.parametrize("lanes", [None, 0, 3])
+    def test_transversals_as_deep_as_the_members(self, monkeypatch, count, others, lanes):
         # count - others disjoint singletons and `others` members of two to
         # four further cells: every minimal transversal takes one cell per
-        # member, min(#cells, #members) = count of them
+        # member, min(#cells, #members) = count of them; `lanes` bounds the
+        # depth to which MMCS tabulates its lane repeats (None: the default)
         rng = random.Random(count + others)
         picked = rng.sample(range(81), 81)
         singles, spare = picked[: count - others], picked[count - others:]
@@ -181,6 +199,8 @@ class TestMmcsAgainstBerge:
         for j in range(others):
             masks.append(sum(1 << i for i in spare[4 * j: 4 * j + rng.randint(2, 4)]))
         family = SetFamily(9, masks)
+        if lanes is not None:
+            tabulate_lanes(monkeypatch, family, lanes)
         dual = transversal_dual(family)
         assert dual == berge_dual(family)
         assert {m.bit_count() for m in dual.masks} == {count}

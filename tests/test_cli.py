@@ -149,13 +149,20 @@ class TestDual:
         assert out == "{}\n"
 
     def test_1600_singletons_need_no_recursion(self, capsys, tmp_path):
-        # one transversal of 1,600 cells: a search as deep as the family
+        # one transversal of 1,600 cells: a search as deep as the family.
+        # Lane repeats for every cell at every depth would take about 1 GB
         cells = [(r, c) for r in range(1, 41) for c in range(1, 41)]
         path = tmp_path / "singletons.json"
         path.write_text(json.dumps({"n": 40, "members": [[[r, c]] for r, c in cells]}))
-        code, out, err = run_cli(capsys, "dual", str(path))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "dual", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 0 and err == ""
         assert out == _format_member(cells) + "\n"
+        assert peak < 32 * 2**20
 
     def test_malformed_json_exits_3(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +106,18 @@ class TestBenchSweep:
             assert run["stderr_tail"] == ""
             assert run["wall_s"] > 0 and run["cpu_s"] > 0 and run["peak_rss_mb"] > 1
             assert run["commit"]
+
+    def test_budgeted_sweep_passes_stderr_on(self, tmp_path):
+        out = tmp_path / "bench.json"
+        proc = run_script(
+            "bench_sweep.py", "--n", "8", "--budget", "0.1", "--label", "cut",
+            "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        (run,) = json.loads(out.read_text())["runs"]
+        assert run["exit_status"] == 4
+        assert re.fullmatch(r"budget exhausted after .*: \d+ of S_8 checked", run["stderr_tail"])
+        assert proc.stderr.splitlines()[-1] == run["stderr_tail"]
 
     @pytest.mark.parametrize(
         "flag,value", [("--n", "0"), ("--jobs", "0"), ("--budget", "nan")]

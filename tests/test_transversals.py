@@ -221,6 +221,23 @@ class TestMemberOrder:
         blocks = [render_ascii(PipeDream(n, frozenset(m))) for m in stair]
         assert out.getvalue() == "\n\n".join(blocks) + "\n"
 
+    def test_keys_follow_the_union_not_the_grid(self):
+        # 40 members on the 2000 x 2000 grid, all near its last cell: keys
+        # of one character per grid cell would hold about 160 MB at once
+        n = 2000
+        near = [(r, c) for r in range(n - 5, n + 1) for c in range(n - 5, n + 1)]
+        rng = random.Random(2000)
+        family = SetFamily.from_sets(n, [rng.sample(near, 3) for _ in range(40)])
+        tracemalloc.start()
+        try:
+            text = family_to_text(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        order = [[(i // n + 1, i % n + 1) for i in m] for m in sorted(map(cells, family.masks))]
+        assert text == "\n".join("{" + ", ".join(f"({r},{c})" for r, c in m) + "}" for m in order)
+        assert peak < 16 * 2**20
+
 
 class TestIsTransversal:
     def test_vacuous_on_empty_family(self):
