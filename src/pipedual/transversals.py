@@ -120,19 +120,20 @@ def _mmcs(members: tuple[int, ...], last: int) -> tuple[list[int], list[int]]:
     dualizing large-scale hypergraphs", Discrete Appl. Math. 2014) on an
     explicit stack: the minimal transversals of the members, and each
     non-minimal p | c for p a minimal transversal of the others that misses
-    the member ``last`` (0: none) and c a cell of ``last``.  A node holds
-    the chosen cells, the cells still allowed, the members not yet met (as a
-    list and as a bit set over member indices) and, per chosen cell, its
-    critical members: those the chosen cells meet in that cell alone.  A
-    node branches on the listed member with the fewest allowed cells; the
-    child for its i-th cell may not use its later cells, so every minimal
-    transversal is found once.  A child whose cell leaves an earlier cell
-    without a critical member is cut, so every node is a minimal transversal
-    of the members it meets; one meeting all is a result, never pushed.
-    ``last`` is listed only once the others are met, so until a cell of it
-    is chosen a node is one a search of the others would hold: the p are
-    the nodes left with only ``last`` unmet, each once, and p | c is minimal
-    iff c passes the cut (``last`` is critical for c).
+    the member ``last`` (0: none) and c a cell of ``last``.  The members
+    are taken in one order, by size and then as given, and ``last`` must
+    be the last member of that order.  A node holds the chosen cells, the
+    cells still allowed, the members not yet met (a bit set over that
+    order) and, per chosen cell, its critical members: those the chosen
+    cells meet in that cell alone.  A node branches on its first unmet
+    member; the child for its i-th allowed cell may not use its later
+    cells, so every minimal transversal is found once.  A child whose cell
+    leaves an earlier cell without a critical member is cut, so every node
+    is a minimal transversal of the members it meets; one meeting all is a
+    result, never pushed.  Until every other member is met, a node missing
+    ``last`` is one a search of the others would hold: the p are the nodes
+    whose unmet set is ``last``'s bit alone, each once, and p | c is
+    minimal iff c passes the cut (``last`` is critical for c).
 
     Critical sets share one int, as in :class:`grid.Lanes`: per chosen cell
     (at most min(#cells, #members), each with a critical member of its own)
@@ -141,47 +142,41 @@ def _mmcs(members: tuple[int, ...], last: int) -> tuple[list[int], list[int]]:
     top bits, which survive on exactly the emptied lanes; repeats over the
     lanes are tabulated up to ``_LANE_TABLE_BYTES``, then built per use.
     """
-    # per cell: the members containing it, as a bit set over member indices
+    order = sorted(members, key=int.bit_count)
+    # per cell: the members containing it, as a bit set over the order
     holders: dict[int, int] = {}
-    for i, member in enumerate(members):
+    for i, member in enumerate(order):
         while member:
             cell = member & -member
             member ^= cell
             holders[cell] = holders.get(cell, 0) | 1 << i
-    size, everyone = len(members) // 8 + 1, (1 << len(members)) - 1
+    size, everyone = len(order) // 8 + 1, (1 << len(order)) - 1
+    lastbit = 1 << len(order) - 1 if last else 0
     # one lane's bytes: each cell's non-holders, and the top bit
     lane = {c: (everyone ^ h).to_bytes(size, "little") for c, h in holders.items()}
     top_lane = bytes(size - 1) + b"\x80"
 
     def repeated(pattern: bytes, lanes: int) -> int:  # by bytes: a product is quadratic
         return int.from_bytes(pattern * lanes, "little")
-    cap = min(len(holders), len(members), _LANE_TABLE_BYTES // (size * len(holders) or 1))
+    cap = min(len(holders), len(order), _LANE_TABLE_BYTES // (size * len(holders) or 1))
     keep = {c: repeated(b, cap) for c, b in lane.items()}
     tops = [repeated(top_lane, d) for d in range(cap + 1)]
     deferred = [cell for cell in holders if cell & last]
     found, rejects = [], []
-    listed = [m for m in members if m != last or not last]
-    stack = [(0, reduce(or_, members, 0), everyone, listed, 0)]
+    stack = [(0, reduce(or_, order, 0), everyone, 0)]
     while stack:
-        chosen, allowed, unmet, open_members, critical = stack.pop()
+        chosen, allowed, unmet, critical = stack.pop()
         d = chosen.bit_count()
         top = tops[d] if d <= cap else repeated(top_lane, d)
-        if not open_members:
+        if unmet == lastbit:  # only last is unmet: chosen is a p
             if not unmet:  # only the root of a search without members
                 found.append(chosen)
                 continue
-            for cell in deferred:  # only last is unmet: chosen is a p
+            for cell in deferred:
                 cut = keep[cell] if d <= cap else repeated(lane[cell], d)
                 if (top - (critical & cut)) & top:
                     rejects.append(chosen | cell)
-            open_members = [last]
-        branch, fewest = allowed, allowed.bit_count()
-        for member in open_members:
-            member &= allowed
-            if (k := member.bit_count()) < fewest:
-                branch, fewest = member, k
-                if k <= 1:
-                    break
+        branch = order[(unmet & -unmet).bit_length() - 1] & allowed
         allowed &= ~branch
         while branch:
             cell = branch & -branch
@@ -191,9 +186,8 @@ def _mmcs(members: tuple[int, ...], last: int) -> tuple[list[int], list[int]]:
                 if not unmet & ~(held := holders[cell]):
                     found.append(chosen | cell)
                 else:
-                    rest = [m for m in open_members if not m & cell]
                     still |= (unmet & held) << 8 * size * d
-                    stack.append((chosen | cell, allowed, unmet & ~held, rest, still))
+                    stack.append((chosen | cell, allowed, unmet & ~held, still))
             allowed |= cell
     return found, rejects
 
@@ -254,13 +248,15 @@ def family_to_text(family: SetFamily) -> str:
 
 
 def family_from_json_obj(obj) -> SetFamily:
+    """The family of a JSON object ``{"n": n, "members": [[[r, c], ...], ...]}``.
+    A mask takes n^2 bits, so n is bounded by 4096: a mask up to 2 MiB."""
     if not isinstance(obj, dict):
         raise FamilyFormatError("family must be a JSON object")
     if set(obj) != {"n", "members"}:
         raise FamilyFormatError('family object needs exactly the keys "n" and "members"')
     n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise FamilyFormatError('"n" must be a positive integer')
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 4096:
+        raise FamilyFormatError('"n" must be an integer from 1 to 4096')
     members = obj["members"]
     if not isinstance(members, list):
         raise FamilyFormatError('"members" must be an array')

@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from pipedual import transversals
 from pipedual.antidiagonals import antidiagonal_family
-from pipedual.permutations import Permutation, all_permutations
+from pipedual.permutations import Permutation, all_permutations, parse_permutation
 from pipedual.pipedreams import enumerate_rp
 from pipedual.transversals import (
     SetFamily,
@@ -112,6 +112,21 @@ class TestMmcsAgainstBerge:
         for w in seeded_permutations(n, count, seed=n):
             for family in (enumerate_rp(w), antidiagonal_family(w)):
                 assert_same_duals(family)
+
+    def test_ad_seeded_s9(self):
+        # past the exhaustive range, where MMCS branches on the first unmet
+        # member in size order over families of up to a hundred members
+        for w in seeded_permutations(9, 20, seed=9):
+            assert_same_duals(antidiagonal_family(w))
+
+    # mid-size AD families (110-185 members, 1,120-10,181 minimal
+    # transversals) from the lexicographic start of S_9, the costliest
+    # stretch of a sweep; 132987654 (|AD| 496) takes Berge about 30 s
+    @pytest.mark.parametrize(
+        "w", ["123895467", "123975486", "124786359", "124957638", "126873945"]
+    )
+    def test_ad_lexicographic_start_of_s9(self, w):
+        assert_same_duals(antidiagonal_family(parse_permutation(w)))
 
     @given(raw_family_st())
     @example(SetFamily.empty(3))

@@ -172,6 +172,16 @@ class TestDual:
         assert out == ""
         assert "outside" in err
 
+    def test_oversized_grid_exits_3(self, capsys, tmp_path):
+        # a box on the 2^33 x 2^33 grid would be bit 2^66 of its mask
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 8589934592, "members": [[[8589934592, 8589934592]]]}')
+        code, out, err = run_cli(capsys, "dual", str(path))
+        assert code == EXIT_BAD_JSON
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert '"n"' in err and "Traceback" not in err
+
     def test_non_utf8_file_exits_3(self, capsys, tmp_path):
         path = tmp_path / "utf16.json"
         path.write_bytes(b'\xff\xfe{"n": 2, "members": []}')

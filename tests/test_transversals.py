@@ -384,12 +384,20 @@ class TestJson:
             '{"n": 2, "members": [[[1, 3]]]}',
             '{"n": 2, "members": [[[1, "a"]]]}',
             '{"n": true, "members": []}',
+            '{"n": 4097, "members": []}',
+            '{"n": 8589934592, "members": [[[8589934592, 8589934592]]]}',
             '{"n": 2, "members": [[[1, 1]]], "extra": 1}',
         ],
     )
     def test_rejects_malformed(self, payload):
         with pytest.raises(FamilyFormatError):
             family_from_json(payload)
+
+    def test_largest_grid(self):
+        # n = 4096 is the bound: the last box is bit 2^24 - 1, a 2 MiB mask
+        loaded = family_from_json('{"n": 4096, "members": [[[4096, 4096]], [[1, 1]]]}')
+        assert loaded.masks == (1, 1 << (4096 * 4096 - 1))
+        assert family_from_json(family_to_json(loaded)) == loaded
 
     def test_emits_compact_valid_json(self):
         family = SetFamily.from_sets(2, [[(1, 1)]])
