@@ -248,13 +248,12 @@ def family_to_text(family: SetFamily) -> str:
 
 
 def family_from_json_obj(obj) -> SetFamily:
-    """The family of a JSON object ``{"n": n, "members": [[[r, c], ...], ...]}``.
-    A mask takes n^2 bits, so n is bounded by 4096: a mask up to 2 MiB."""
     if not isinstance(obj, dict):
         raise FamilyFormatError("family must be a JSON object")
     if set(obj) != {"n", "members"}:
         raise FamilyFormatError('family object needs exactly the keys "n" and "members"')
     n = obj["n"]
+    # a mask takes n^2 bits: n <= 4096 keeps one at or under 2 MiB
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 4096:
         raise FamilyFormatError('"n" must be an integer from 1 to 4096')
     members = obj["members"]

@@ -114,8 +114,7 @@ class TestMmcsAgainstBerge:
                 assert_same_duals(family)
 
     def test_ad_seeded_s9(self):
-        # past the exhaustive range, where MMCS branches on the first unmet
-        # member in size order over families of up to a hundred members
+        # past the exhaustive range: families of 15 to 76 members
         for w in seeded_permutations(9, 20, seed=9):
             assert_same_duals(antidiagonal_family(w))
 
