@@ -151,7 +151,7 @@ def _mmcs(members: tuple[int, ...], last: int) -> tuple[list[int], list[int]]:
             member ^= cell
             holders[cell] = holders.get(cell, 0) | 1 << i
     size, everyone = len(order) // 8 + 1, (1 << len(order)) - 1
-    lastbit = 1 << len(order) - 1 if last else 0
+    lastbit = 1 << (len(order) - 1) if last else 0
     # one lane's bytes: each cell's non-holders, and the top bit
     lane = {c: (everyone ^ h).to_bytes(size, "little") for c, h in holders.items()}
     top_lane = bytes(size - 1) + b"\x80"
