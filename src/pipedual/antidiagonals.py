@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .grid import Box, cells
 from .permutations import Permutation, prefix_sets
-from .transversals import SetFamily, minimalize
+from .transversals import SetFamily
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,26 @@ class Antidiagonal:
         return iter(self.boxes)
 
 
-def _chains(n: int, r_min: int, p: int, c_max: int, k: int) -> Iterator[int]:
-    # masks (grid.pack, n columns) of k boxes with rows ascending in
-    # [r_min, p], columns descending in [1, c_max], in lexicographic order
+def _chains(
+    n: int, r_min: int, p: int, c_max: int, k: int,
+    head: int = 0, limits: tuple[tuple[int, int], ...] = (),
+) -> Iterator[int]:
+    # masks (grid.pack, n columns) of head plus k boxes with rows ascending
+    # in [r_min, p], columns descending in [1, c_max], in lexicographic
+    # order, cutting a chain as soon as it holds s boxes of m for some
+    # (m, s) in limits
     if k == 0:
-        yield 0
+        yield head
         return
     for r in range(r_min, p - k + 2):
         for c in range(k, c_max + 1):
             bit = 1 << (r - 1) * n + c - 1
-            for rest in _chains(n, r + 1, p, c - 1, k - 1):
-                yield bit | rest
+            chain = head | bit
+            for m, s in limits:
+                if bit & m and (chain & m).bit_count() >= s:
+                    break
+            else:
+                yield from _chains(n, r + 1, p, c - 1, k - 1, chain, limits)
 
 
 def antidiagonals_in_rectangle(p: int, q: int, size: int) -> Iterator[Antidiagonal]:
@@ -87,20 +96,30 @@ def essential_set(w: Permutation) -> tuple[Box, ...]:
 def antidiagonal_family(w: Permutation) -> SetFamily:
     """The inclusion-minimal antidiagonals of w, canonically ordered.
 
-    Collects the antidiagonals of 1 + rank(w, p, q) boxes in [p] x [q] for
-    each (p, q) of the essential set, then keeps the minimal ones.  The
-    essential minors already define the Schubert determinantal ideal
-    (Fulton, "Flags, Schubert polynomials, degeneracy loci, and
-    determinantal formulas", Duke Math. J. 1992), and their antidiagonals
-    generate its initial ideal (Knutson and Miller, "Groebner geometry of
-    Schubert polynomials", Ann. Math. 2005, Thm. B), so the other
-    rectangles add only non-minimal antidiagonals.  A diagram box (p, q)
-    has no one-entry west of it in row p or north of it in column q, so
+    Collects, for each (p, q) of the essential set, the minimal
+    antidiagonals of 1 + rank(w, p, q) boxes in [p] x [q].  The essential
+    minors already define the Schubert determinantal ideal (Fulton,
+    "Flags, Schubert polynomials, degeneracy loci, and determinantal
+    formulas", Duke Math. J. 1992), and their antidiagonals generate its
+    initial ideal (Knutson and Miller, "Groebner geometry of Schubert
+    polynomials", Ann. Math. 2005, Thm. B), so the other rectangles add
+    only non-minimal antidiagonals.  A diagram box (p, q) has no one-entry
+    west of it in row p or north of it in column q, so
     1 + rank(w, p, q) <= min(p, q) and every essential rectangle holds one.
+
+    Every subset of an antidiagonal is one, so a chain of size s is not
+    minimal exactly when some essential rectangle of a size s' < s holds
+    s' of its boxes; the chains are cut there as they are built, and no
+    minimality filter runs afterwards.
     """
+    n = w.n
     prefix = prefix_sets(w)
-    union: set[int] = set()
+    rects = []  # (p, q, mask of [p] x [q], its size 1 + rank(w, p, q))
     for p, q in essential_set(w):
-        size = 1 + (prefix[p - 1] & (1 << q) - 1).bit_count()
-        union.update(_chains(w.n, 1, p, q, size))
-    return minimalize(SetFamily(w.n, union))
+        mask = sum(((1 << q) - 1) << r * n for r in range(p))
+        rects.append((p, q, mask, 1 + (prefix[p - 1] & (1 << q) - 1).bit_count()))
+    union: set[int] = set()
+    for p, q, _, size in rects:
+        limits = tuple((m, s) for _, _, m, s in rects if s < size)
+        union.update(_chains(n, 1, p, q, size, 0, limits))
+    return SetFamily(n, union)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .grid import Box, Lanes, staircase_boxes
 from .permutations import Permutation, length
@@ -25,6 +25,8 @@ from .transversals import SetFamily
 
 # largest n for which the subset-enumeration oracle stays cheap
 BRUTE_FORCE_MAX_N = 6
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -120,17 +122,16 @@ def is_reduced(dream: PipeDream) -> bool:
     return all(pair.crossings <= 1 for pair in crossing_counts(dream))
 
 
-def enumerate_rp(w: Permutation) -> SetFamily:
-    """All reduced pipe dreams tracing to w, as a canonical family.
-
-    Builds the dreams row by row from the top, working back from w.  The
-    west and south pipes of box (r, c) sit in the adjacent slots k and
-    k + 1, k = r + c - 1, and a crossing swaps them; read the other way,
-    slot c starts out holding w^-1(c), the pipe that exits at column c,
-    and each crossing undoes its swap.  Row r takes its boxes from the
-    right, slots k = n - 1 down to r, and undoes a swap only where
-    slots[k] > slots[k + 1]: pipes keep their order until they cross, so
-    that is the pair's one crossing, and every dream built is reduced.
+def fold_rows(w: Permutation, start: T, add: Callable[[dict, tuple, T, int], None]) -> T:
+    """A fold over the reduced pipe dreams of w, built row by row from the
+    top, working back from w.  The west and south pipes of box (r, c) sit
+    in the adjacent slots k and k + 1, k = r + c - 1, and a crossing swaps
+    them; read the other way, slot c starts out holding w^-1(c), the pipe
+    that exits at column c, and each crossing undoes its swap.  Row r
+    takes its boxes from the right, slots k = n - 1 down to r, and undoes
+    a swap only where slots[k] > slots[k + 1]: pipes keep their order
+    until they cross, so that is the pair's one crossing, and every dream
+    built is reduced.
 
     Slot r is not touched below row r, so row r must leave pipe r there.
     If pipe r sits in slot p, the crossings in slots r .. p - 1 are forced,
@@ -140,20 +141,21 @@ def enumerate_rp(w: Permutation) -> SetFamily:
     there has a reduced pipe dream, so no branch dies (Bergeron and
     Billey, "RC-graphs and Schubert polynomials", Experiment. Math. 1993).
     Partial dreams that leave the same pipes in the same slots share their
-    completions: the frontier keys them by those pipes, and each row is
-    one loop over it.
-
-    >>> len(enumerate_rp(Permutation((1, 4, 3, 2))))
-    5
+    completions: the frontier keys them by those pipes, with one
+    accumulator, first ``start``, and each row is one loop over it.  For
+    each key's accumulator ``acc`` and each crossing mask ``row`` of the
+    row (see :func:`grid.pack`) that leads to the key ``pipes``,
+    ``add(below, pipes, acc, row)`` merges into ``below[pipes]``.  The one
+    accumulator left after row n - 1 is returned.
     """
     n = w.n
-    # the pipes in slots r .. n before row r -> masks of rows 1 .. r - 1
-    frontier = {w.inverse().images: [0]}
+    # the pipes in slots r .. n before row r -> accumulator of rows 1 .. r - 1
+    frontier = {w.inverse().images: start}
     for r in range(1, n):
         first = (r - 1) * n  # the bit of box (r, 1), in slot r
-        below: dict[tuple[int, ...], list[int]] = {}
+        below: dict[tuple[int, ...], T] = {}
         while frontier:
-            pipes, masks = frontier.popitem()
+            pipes, acc = frontier.popitem()
             at = pipes.index(r)  # pipe r sits in slot p = r + at
             head, tail = pipes[:at], pipes[at + 1:]
             # the forced crossings in slots r .. p - 1, then the free ones
@@ -166,10 +168,24 @@ def enumerate_rp(w: Permutation) -> SetFamily:
                     if t[j] > t[j + 1]:
                         rows.append((t[:j] + (t[j + 1], t[j]) + t[j + 2:], row | bit))
             for t, row in rows:
-                below.setdefault(head + t, []).extend([mask | row for mask in masks])
+                add(below, head + t, acc, row)
         frontier = below
-    [masks] = frontier.values()
-    return SetFamily(n, masks)
+    [acc] = frontier.values()
+    return acc
+
+
+def _add_masks(below: dict, pipes: tuple, masks: list[int], row: int) -> None:
+    below.setdefault(pipes, []).extend([mask | row for mask in masks])
+
+
+def enumerate_rp(w: Permutation) -> SetFamily:
+    """All reduced pipe dreams tracing to w, as a canonical family: the
+    fold of :func:`fold_rows` over lists of masks.
+
+    >>> len(enumerate_rp(Permutation((1, 4, 3, 2))))
+    5
+    """
+    return SetFamily(w.n, fold_rows(w, [0], _add_masks))
 
 
 def trace_lanes(lanes: Lanes) -> tuple[list[int], int]:

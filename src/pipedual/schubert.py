@@ -10,13 +10,11 @@ renderings canonical.
 
 from __future__ import annotations
 
-import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .permutations import Permutation
-from .pipedreams import enumerate_rp
+from .pipedreams import fold_rows
 
 ExponentVector = tuple[int, ...]
 
@@ -79,22 +77,42 @@ class Polynomial:
 
 def schubert_polynomial(w: Permutation) -> Polynomial:
     """Sum over the reduced pipe dreams of w of the monomials recording
-    the row index of every crossing tile.  A dream's exponent vector is
-    read off its mask as the popcount of each grid row.
+    the row index of every crossing tile.
+
+    The fold of :func:`pipedreams.fold_rows` carries, per slot state, the
+    exponent vectors of the partial dreams that reach it, with counts, so
+    no dream is built.  An exponent vector is an int with a field of
+    ``bits`` per row, wide enough for the n - 1 crossings a row can hold;
+    each row shifts the fields up and writes its own, so row 1 ends up
+    highest.  The polynomial is homogeneous of degree length(w), so
+    descending ints are descending graded lex order.
 
     >>> from .permutations import parse_permutation
     >>> str(schubert_polynomial(parse_permutation("2143")))
     'x1^2 + x1*x2 + x1*x3'
     """
     n = w.n
-    full = (1 << n) - 1
-    rows = range(0, n * n, n)
-    return Polynomial.from_dict(
-        Counter(
-            tuple((mask >> shift & full).bit_count() for shift in rows)
-            for mask in enumerate_rp(w).masks
+    size = max(1, ((n - 1).bit_length() + 7) // 8)  # bytes per field
+    bits = 8 * size
+
+    def add(below, pipes, counts, row):
+        k = row.bit_count()
+        into = below.get(pipes)
+        if into is None:
+            below[pipes] = {e << bits | k: c for e, c in counts.items()}
+        else:
+            for e, c in counts.items():
+                e = e << bits | k
+                into[e] = into.get(e, 0) + c
+
+    terms = []
+    for e, c in sorted(fold_rows(w, {0: 1}, add).items(), reverse=True):
+        data = e.to_bytes(size * (n - 1), "big")
+        exps = data.rstrip(b"\0") if size == 1 else normalize_exponents(
+            int.from_bytes(data[i:i + size], "big") for i in range(0, len(data), size)
         )
-    )
+        terms.append((tuple(exps), c))
+    return Polynomial(tuple(terms))
 
 
 def specialize_all_ones(poly: Polynomial) -> int:
@@ -128,5 +146,11 @@ def polynomial_to_json_obj(poly: Polynomial) -> list:
     return [{"coeff": c, "exponents": list(e)} for e, c in poly.terms]
 
 
+_JSON_TERM = '{{"coeff":{},"exponents":[{}]}}'.format
+
+
 def polynomial_to_json(poly: Polynomial) -> str:
-    return json.dumps(polynomial_to_json_obj(poly), separators=(",", ":"))
+    """``json.dumps(polynomial_to_json_obj(poly), separators=(",", ":"))``,
+    written term by term."""
+    exps = (",".join(map(str, e)) for e, _ in poly.terms)
+    return "[" + ",".join(map(_JSON_TERM, (c for _, c in poly.terms), exps)) + "]"

@@ -27,7 +27,7 @@ from itertools import islice
 from math import factorial
 
 from .antidiagonals import antidiagonal_family
-from .grid import Lanes, cells, pack, staircase_boxes
+from .grid import Lanes, cells, pack
 from .permutations import (
     Permutation,
     all_permutations,
@@ -142,7 +142,8 @@ def _check_dual_reducedness(w: Permutation, dual_ad: Lanes) -> CheckResult:
 
 
 def _nonminimal_stats(rejected: SetFamily) -> dict[str, int]:
-    _, bad = trace_lanes(Lanes(rejected.n, rejected.masks))
+    # empty on every AD family of S_1 .. S_8, and then no lanes are built
+    bad = trace_lanes(Lanes(rejected.n, rejected.masks))[1] if rejected.masks else 0
     return {
         "nonminimal_transversals_seen": len(rejected),
         "reduced_nonminimal_transversals": len(rejected) - bad.bit_count(),
@@ -184,7 +185,9 @@ def _check_duality(
 
 
 def _off_staircase_stats(ad: SetFamily) -> dict[str, int]:
-    off = ~pack(ad.n, staircase_boxes(ad.n))
+    n = ad.n
+    # row r of the staircase holds columns 1 .. n - r
+    off = ~sum(((1 << n - r) - 1) << (r - 1) * n for r in range(1, n))
     return {"antidiagonals_off_staircase": sum(1 for m in ad.masks if m & off)}
 
 
@@ -324,9 +327,13 @@ def verify_permutation(w: Permutation) -> VerificationReport:
     Fulkerson, "Bottleneck extrema", 1970), and dual(H) = dual(min(H)).
     So dual(dual(AD)) is min(AD), and when dual(AD) == RP so is dual(RP):
     the one MMCS search is on AD, whether the checks pass or fail, and
-    RP is never dualized.  The checks that read every dream run once per
-    family on its lanes (see :class:`grid.Lanes`), and RP's lanes serve
-    dual(AD) when the two are equal."""
+    RP is never dualized.  The double-dual check therefore compares AD
+    with min(AD).  :func:`antidiagonal_family` cuts non-minimal chains as
+    it builds them and runs no minimality filter, so this check tests
+    that cutting rule and fails if it lets a non-minimal chain through.
+    The checks that read every dream run once per family on its lanes
+    (see :class:`grid.Lanes`), and RP's lanes serve dual(AD) when the two
+    are equal."""
     rp = enumerate_rp(w)
     ad = antidiagonal_family(w)
     dual_ad, rejected = dual_with_nonminimal(ad)

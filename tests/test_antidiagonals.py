@@ -190,3 +190,21 @@ class TestAllRectanglesOracle:
         for _ in range(20):
             w = Permutation(tuple(rng.sample(range(1, n + 1), n)))
             assert antidiagonal_family(w) == all_rectangles_family(w), str(w)
+
+
+class TestPruning:
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_cuts_exactly_the_nonminimal_chains(self, n):
+        # the family is the minimality filter applied to the uncut union
+        # of the essential rectangles' streams, and the cut does fire
+        cut = 0
+        for w in all_permutations(n):
+            union = {
+                pack(n, a.boxes)
+                for p, q in essential_set(w)
+                for a in antidiagonals_in_rectangle(p, q, 1 + rank(w, p, q))
+            }
+            family = antidiagonal_family(w)
+            assert family == minimalize(SetFamily(n, union)), str(w)
+            cut += len(union) - len(family)
+        assert cut > 0
