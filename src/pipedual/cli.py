@@ -8,10 +8,11 @@ Subcommands:
   schubert PERM  Schubert polynomial of a permutation
   verify         exhaustive law checks over all of S_n
 
-Only payload goes to stdout; diagnostics go to stderr.  Exit statuses:
-0 success, 1 verification failure, 2 argument or permutation parse
-failure, 3 malformed family JSON, 4 verification budget exhausted with
-all completed permutations passing.
+The first four are rows of one table, ``_QUERIES``.  Only payload goes
+to stdout; diagnostics go to stderr.  Exit statuses: 0 success, 1
+verification failure, 2 argument or permutation parse failure, 3
+malformed family JSON, 4 verification budget exhausted with all
+completed permutations passing.
 """
 
 from __future__ import annotations
@@ -54,21 +55,6 @@ class _CliError(Exception):
         self.code = code
 
 
-def _print_family(family: SetFamily, fmt: str) -> None:
-    if fmt == "json":
-        print(family_to_json(family))
-    elif fmt == "ascii":
-        blocks = [
-            render_ascii(PipeDream(family.n, frozenset(member)))
-            for member in family.members
-        ]
-        print("\n\n".join(blocks))
-    else:
-        text = family_to_text(family)
-        if text:
-            print(text)
-
-
 def _parse_perm_arg(text: str) -> Permutation:
     try:
         return parse_permutation(text)
@@ -76,50 +62,66 @@ def _parse_perm_arg(text: str) -> Permutation:
         raise _CliError(EXIT_USAGE, str(exc)) from None
 
 
-def _cmd_rp(args) -> int:
-    w = _parse_perm_arg(args.perm)
-    _print_family(enumerate_rp(w), args.format)
-    return EXIT_OK
-
-
-def _cmd_ad(args) -> int:
-    w = _parse_perm_arg(args.perm)
-    _print_family(antidiagonal_family(w), args.format)
-    return EXIT_OK
-
-
-def _cmd_dual(args) -> int:
-    token = args.input
+def _family_of(token: str) -> SetFamily:
+    """The antidiagonal family of a permutation, else the family in the
+    JSON file named ``token``."""
     try:
         w = parse_permutation(token)
     except ValueError:
         w = None
     if w is not None:
-        family = antidiagonal_family(w)
-    else:
-        path = Path(token)
-        try:
-            if not path.is_file():
-                raise FileNotFoundError(token)
-            family = family_from_json(path.read_text(encoding="utf-8"))
-        except OSError:
-            raise _CliError(
-                EXIT_USAGE,
-                f"{token!r} is neither a permutation nor a readable file",
-            ) from None
-        except (FamilyFormatError, UnicodeDecodeError) as exc:
-            raise _CliError(EXIT_BAD_JSON, str(exc)) from None
-    _print_family(transversal_dual(family), args.format)
-    return EXIT_OK
+        return antidiagonal_family(w)
+    try:
+        if not Path(token).is_file():
+            raise FileNotFoundError(token)
+        return family_from_json(Path(token).read_text(encoding="utf-8"))
+    except OSError:
+        raise _CliError(
+            EXIT_USAGE, f"{token!r} is neither a permutation nor a readable file"
+        ) from None
+    except (FamilyFormatError, UnicodeDecodeError) as exc:
+        raise _CliError(EXIT_BAD_JSON, str(exc)) from None
 
 
-def _cmd_schubert(args) -> int:
-    w = _parse_perm_arg(args.perm)
-    poly = schubert_polynomial(w)
-    if args.format == "json":
-        print(polynomial_to_json(poly))
-    else:
-        print(polynomial_to_str(poly))
+def _family_to_ascii(family: SetFamily) -> str:
+    dreams = (PipeDream(family.n, frozenset(m)) for m in family.members)
+    return "\n\n".join(map(render_ascii, dreams))
+
+
+_FAMILY = {"text": family_to_text, "json": family_to_json}
+
+# name: (positional, build, {--format choice: writer}, help); every
+# --format defaults to "text"
+_QUERIES = {
+    "rp": (
+        "perm", lambda perm: enumerate_rp(_parse_perm_arg(perm)),
+        {**_FAMILY, "ascii": _family_to_ascii},
+        "enumerate the reduced pipe dreams of PERM",
+    ),
+    "ad": (
+        "perm", lambda perm: antidiagonal_family(_parse_perm_arg(perm)), _FAMILY,
+        "the minimal antidiagonal family of PERM",
+    ),
+    "dual": (
+        "input", lambda token: transversal_dual(_family_of(token)), _FAMILY,
+        "transversal dual of a family: antidiagonals of a permutation, "
+        "or any family JSON file",
+    ),
+    "schubert": (
+        "perm", lambda perm: schubert_polynomial(_parse_perm_arg(perm)),
+        {"text": polynomial_to_str, "json": polynomial_to_json},
+        "the Schubert polynomial of PERM",
+    ),
+}
+
+
+def _run_query(args) -> int:
+    positional, build, writers, _ = _QUERIES[args.command]
+    text = writers[args.format](build(getattr(args, positional)))
+    # text output prints nothing for an empty family.  The ascii writer
+    # never comes back empty: every permutation has a reduced pipe dream
+    if text:
+        print(text)
     return EXIT_OK
 
 
@@ -139,10 +141,7 @@ def _cmd_verify(args) -> int:
             print(f"{report.permutation} FAIL: {', '.join(report.failed_checks())}")
         checked += 1
         passed += report.passed
-    if json_out:
-        sys.stdout.write("]\n")
-    else:
-        print(f"{passed}/{checked} permutations pass")
+    print("]" if json_out else f"{passed}/{checked} permutations pass")
     exhausted = checked < math.factorial(args.n)
     if exhausted:
         print(
@@ -150,11 +149,7 @@ def _cmd_verify(args) -> int:
             f"{checked} of S_{args.n} checked",
             file=sys.stderr,
         )
-    if passed < checked:
-        return EXIT_FAIL
-    if exhausted:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return EXIT_FAIL if passed < checked else EXIT_BUDGET if exhausted else EXIT_OK
 
 
 def _positive_int(text: str) -> int:
@@ -194,31 +189,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rp = sub.add_parser("rp", help="enumerate the reduced pipe dreams of PERM")
-    rp.add_argument("perm")
-    rp.add_argument(
-        "--format", choices=("text", "json", "ascii"), default="text"
-    )
-    rp.set_defaults(func=_cmd_rp)
-
-    ad = sub.add_parser("ad", help="the minimal antidiagonal family of PERM")
-    ad.add_argument("perm")
-    ad.add_argument("--format", choices=("text", "json"), default="text")
-    ad.set_defaults(func=_cmd_ad)
-
-    dual = sub.add_parser(
-        "dual",
-        help="transversal dual of a family: antidiagonals of a permutation, "
-        "or any family JSON file",
-    )
-    dual.add_argument("input")
-    dual.add_argument("--format", choices=("text", "json"), default="text")
-    dual.set_defaults(func=_cmd_dual)
-
-    schubert = sub.add_parser("schubert", help="the Schubert polynomial of PERM")
-    schubert.add_argument("perm")
-    schubert.add_argument("--format", choices=("text", "json"), default="text")
-    schubert.set_defaults(func=_cmd_schubert)
+    for name, (positional, _, writers, about) in _QUERIES.items():
+        query = sub.add_parser(name, help=about)
+        query.add_argument(positional)
+        query.add_argument("--format", choices=writers, default="text")
+        query.set_defaults(func=_run_query)
 
     verify = sub.add_parser(
         "verify", help="run every duality check for all permutations of S_n"

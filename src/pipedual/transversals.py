@@ -112,17 +112,17 @@ def transversal_dual(family: SetFamily) -> SetFamily:
     """All inclusion-minimal transversals, canonically ordered, by
     :func:`_mmcs` deferring no member.  The empty family's dual holds just
     the empty set; a family holding the empty set has no transversals."""
-    return SetFamily(family.n, _mmcs(family.masks, 0)[0])
+    return SetFamily(family.n, _mmcs(family.masks, False)[0])
 
 
-def _mmcs(members: tuple[int, ...], last: int) -> tuple[list[int], list[int]]:
+def _mmcs(members: tuple[int, ...], defer: bool) -> tuple[list[int], list[int]]:
     """Depth-first MMCS (Murakami and Uno, "Efficient algorithms for
     dualizing large-scale hypergraphs", Discrete Appl. Math. 2014) on an
     explicit stack: the minimal transversals of the members, and each
     non-minimal p | c for p a minimal transversal of the others that misses
-    the member ``last`` (0: none) and c a cell of ``last``.  The members
-    are taken in one order, by size and then as given, and ``last`` must
-    be the last member of that order.  A node holds the chosen cells, the
+    the member ``last`` and c a cell of ``last``.  The members are taken in
+    one order, by size and then as given; ``last`` is the last member of
+    that order if ``defer``, else none.  A node holds the chosen cells, the
     cells still allowed, the members not yet met (a bit set over that
     order) and, per chosen cell, its critical members: those the chosen
     cells meet in that cell alone.  A node branches on its first unmet
@@ -151,6 +151,7 @@ def _mmcs(members: tuple[int, ...], last: int) -> tuple[list[int], list[int]]:
             member ^= cell
             holders[cell] = holders.get(cell, 0) | 1 << i
     size, everyone = len(order) // 8 + 1, (1 << len(order)) - 1
+    last = order[-1] if defer and order else 0
     lastbit = 1 << (len(order) - 1) if last else 0
     # one lane's bytes: each cell's non-holders, and the top bit
     lane = {c: (everyone ^ h).to_bytes(size, "little") for c, h in holders.items()}
@@ -202,8 +203,7 @@ def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
     and discards the p | c not minimal for the family (none is minimal
     for the others): the rejects of :func:`_mmcs` deferring that member.
     """
-    last = max(family.masks, key=lambda m: (m.bit_count(), m), default=0)
-    dual, rejects = _mmcs(family.masks, last)
+    dual, rejects = _mmcs(family.masks, True)
     return SetFamily(family.n, dual), SetFamily(family.n, rejects)
 
 

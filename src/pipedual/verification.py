@@ -21,9 +21,8 @@ import json
 import time
 from collections import deque
 from collections.abc import Collection, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, permutations
 from math import factorial
 
 from .antidiagonals import antidiagonal_family
@@ -40,7 +39,6 @@ from .pipedreams import PipeDream, enumerate_rp, reduced_traces, trace_lanes
 from .transversals import (
     SetFamily,
     dual_with_nonminimal,
-    family_from_json_obj,
     family_to_json_obj,
     minimalize,
     transversal_dual,
@@ -386,7 +384,12 @@ def iter_verify(
     if jobs <= 1:
         yield from _verify_each(all_permutations(n), deadline)
         return
-    images = (w.images for w in all_permutations(n))
+    # imported here: it loads multiprocessing, which serial runs never use
+    from concurrent.futures import ProcessPoolExecutor
+
+    # plain tuples in lexicographic order; each worker builds and validates
+    # the Permutation of every tuple it checks
+    images = permutations(range(1, n + 1))
     chunks = iter(lambda: tuple(islice(images, CHUNK_SIZE)), ())
     # a worker starts at the first submit whether or not a chunk is left
     # for it, so a pool never outnumbers the chunks
@@ -422,8 +425,8 @@ def verify_range(
     return VerificationRun(n, reports, exhausted, time.monotonic() - start)
 
 
-def report_to_json_obj(report: VerificationReport) -> dict:
-    return {
+def report_to_json(report: VerificationReport) -> str:
+    obj = {
         "w": list(report.permutation.images),
         "checks": {
             name: {
@@ -438,30 +441,8 @@ def report_to_json_obj(report: VerificationReport) -> dict:
         },
         "stats": dict(report.stats),
     }
-
-
-def report_from_json_obj(obj: dict) -> VerificationReport:
-    checks = {
-        name: CheckResult(
-            entry["pass"],
-            None
-            if entry["counterexample"] is None
-            else family_from_json_obj(entry["counterexample"]),
-        )
-        for name, entry in obj["checks"].items()
-    }
-    return VerificationReport(
-        Permutation(tuple(obj["w"])), checks, dict(obj.get("stats", {}))
-    )
-
-
-def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report_to_json_obj(report), separators=(",", ":"))
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def reports_to_json(reports: Iterable[VerificationReport]) -> str:
     return "[" + ",".join(map(report_to_json, reports)) + "]"
-
-
-def reports_from_json(text: str) -> list[VerificationReport]:
-    return [report_from_json_obj(obj) for obj in json.loads(text)]

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import hashlib
 import itertools
@@ -521,6 +522,48 @@ def test_output_cost_follows_boxes_not_grid(capsys, tmp_path):
     assert code == 0
     assert capsys.readouterr().out == '{"n":2000,"members":[[[1,1],[2000,2000]]]}\n'
     assert peak < 50 * 2**20
+
+
+class TestArguments:
+    """Each subcommand's arguments as build_parser() declares them: name,
+    type, choices, default and whether required."""
+
+    @staticmethod
+    def arguments(parser):
+        return [
+            (
+                action.option_strings[0] if action.option_strings else action.dest,
+                getattr(action.type, "__name__", None),
+                None if action.choices is None else tuple(action.choices),
+                action.default,
+                action.required,
+            )
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+
+    def test_subcommands(self, monkeypatch):
+        monkeypatch.delenv("PD_JOBS", raising=False)
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        family = ("--format", None, ("text", "json"), "text", False)
+        assert {name: self.arguments(cmd) for name, cmd in sub.choices.items()} == {
+            "rp": [
+                ("perm", None, None, None, True),
+                ("--format", None, ("text", "json", "ascii"), "text", False),
+            ],
+            "ad": [("perm", None, None, None, True), family],
+            "dual": [("input", None, None, None, True), family],
+            "schubert": [("perm", None, None, None, True), family],
+            "verify": [
+                ("--n", "_positive_int", None, None, True),
+                ("--budget", "_budget_seconds", None, 600.0, False),
+                ("--jobs", "_positive_int", None, "1", False),
+                family,
+            ],
+        }
+        assert list(sub.choices) == ["rp", "ad", "dual", "schubert", "verify"]
+        assert sub.required and sub.dest == "command"
 
 
 class TestEntryPoint:

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -43,9 +44,7 @@ from pipedual.verification import (
     _verify_chunk,
     iter_verify,
     max_elbow_antidiagonal,
-    report_from_json_obj,
-    report_to_json_obj,
-    reports_from_json,
+    report_to_json,
     reports_to_json,
     verify_bruhat_oracle,
     verify_claim1,
@@ -381,7 +380,8 @@ class TestVerifyRange:
             seen.append(max_workers)
             raise NoPool
 
-        monkeypatch.setattr(verification, "ProcessPoolExecutor", spy)
+        # iter_verify imports the pool class where a parallel sweep starts
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
         with pytest.raises(NoPool):
             next(iter_verify(n, jobs=jobs))
         assert seen == [workers]
@@ -451,21 +451,16 @@ def _count_calls(monkeypatch, module, name, counts):
 
 
 def _record_searches(monkeypatch):
-    """Count the MMCS searches, keyed by (members, deferred member)."""
+    """Count the MMCS searches, keyed by (members, whether one is deferred)."""
     searches: collections.Counter = collections.Counter()
     original = transversals._mmcs
 
-    def recorded(members, last):
-        searches[tuple(members), last] += 1
-        return original(members, last)
+    def recorded(members, defer):
+        searches[tuple(members), defer] += 1
+        return original(members, defer)
 
     monkeypatch.setattr(transversals, "_mmcs", recorded)
     return searches
-
-
-def _berge_last(family):
-    # the member Berge's order takes last: the largest mask of the largest size
-    return max(family.masks, key=lambda m: (m.bit_count(), m))
 
 
 class TestSinglePass:
@@ -483,7 +478,7 @@ class TestSinglePass:
         assert counts == {"enumerate_rp": 1, "antidiagonal_family": 1}
         # one search of AD gives dual(AD) and the stats' rejects;
         # dual(AD) == RP makes dual(RP) min(AD), so RP is never searched
-        assert searches == {(ad.masks, _berge_last(ad)): 1}
+        assert searches == {(ad.masks, True): 1}
 
     def test_only_ad_searched_when_duality_fails(self, monkeypatch):
         w = parse_permutation("13254")
@@ -494,7 +489,7 @@ class TestSinglePass:
         report = verify_permutation(w)
         # dual(AD) differs from short, which decides the duality check:
         # neither short nor dual(AD) is searched
-        assert searches == {(ad.masks, _berge_last(ad)): 1}
+        assert searches == {(ad.masks, True): 1}
         assert not report.checks[CHECK_DUALITY].passed
         assert report.checks[CHECK_DOUBLE_DUAL].passed
 
@@ -507,7 +502,7 @@ class TestSinglePass:
         _, searches = self._counted(monkeypatch)
         report = verify_theorem(w)
         # one search of AD deferring no member, whether RP is intact or not
-        assert searches == {(ad.masks, 0): 1}
+        assert searches == {(ad.masks, False): 1}
         assert report.checks[CHECK_DUALITY].passed == (not drop)
 
     def test_matches_the_public_checks_over_s5(self):
@@ -684,26 +679,55 @@ class TestReports:
         assert tuple(report.checks) == ALL_CHECKS
         assert report.checks[CHECK_DUALITY].passed
 
-    def test_json_round_trip_passing(self):
+    def test_json_fields_passing(self):
         report = verify_permutation(parse_permutation("2143"))
-        again = report_from_json_obj(report_to_json_obj(report))
-        assert again == report
+        obj = json.loads(report_to_json(report))
+        assert obj["w"] == [2, 1, 4, 3]
+        assert list(obj["checks"]) == list(ALL_CHECKS)
+        passing = {"pass": True, "counterexample": None}
+        assert all(entry == passing for entry in obj["checks"].values())
+        assert obj["stats"] == report.stats
 
-    def test_json_round_trip_failing(self):
+    def test_json_fields_failing(self):
         witness = SetFamily.from_sets(3, [[(1, 1)], [(1, 2), (2, 1)]])
         report = VerificationReport(
             identity(3),
             {"duality": CheckResult(False, witness)},
             {"antidiagonals_off_staircase": 0},
         )
-        obj = report_to_json_obj(report)
-        assert obj["checks"]["duality"]["pass"] is False
-        assert obj["checks"]["duality"]["counterexample"]["n"] == 3
-        assert report_from_json_obj(obj) == report
+        assert json.loads(report_to_json(report)) == {
+            "w": [1, 2, 3],
+            "checks": {
+                "duality": {
+                    "pass": False,
+                    "counterexample": {"n": 3, "members": [[[1, 1]], [[1, 2], [2, 1]]]},
+                }
+            },
+            "stats": {"antidiagonals_off_staircase": 0},
+        }
 
-    def test_json_list_round_trip(self):
+    def test_json_list_joins_the_reports(self):
         reports = verify_range(3).reports
-        text = reports_to_json(reports)
-        assert reports_from_json(text) == reports
-        parsed = json.loads(text)
+        parsed = json.loads(reports_to_json(reports))
+        assert parsed == [json.loads(report_to_json(r)) for r in reports]
+        assert [entry["w"] for entry in parsed] == [list(r.permutation.images) for r in reports]
         assert all(set(entry) == {"w", "checks", "stats"} for entry in parsed)
+
+    def test_failing_report_bytes_are_pinned(self, monkeypatch):
+        # 2143 with its first dream dropped from RP, patched in as
+        # TestCertificate patches it: only duality fails, and its
+        # counterexample is the dropped dream.  The S_6 to S_8 digests
+        # hold passing reports only
+        w = parse_permutation("2143")
+        rp = enumerate_rp(w)
+        short = SetFamily.from_sets(rp.n, rp.members[1:])
+        monkeypatch.setattr(verification, "enumerate_rp", lambda v: short)
+        passing = '{"pass":true,"counterexample":null}'
+        assert report_to_json(verify_permutation(w)) == (
+            '{"w":[2,1,4,3],"checks":{'
+            f'"transversality":{passing},"dual_reducedness":{passing},'
+            f'"rank_antidiagonal":{passing},"double_dual":{passing},'
+            '"duality":{"pass":false,"counterexample":{"n":4,"members":[[[1,1],[1,3]]]}}},'
+            '"stats":{"nonminimal_transversals_seen":0,'
+            '"reduced_nonminimal_transversals":0,"antidiagonals_off_staircase":0}}'
+        )
