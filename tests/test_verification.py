@@ -731,3 +731,81 @@ class TestReports:
             '"stats":{"nonminimal_transversals_seen":0,'
             '"reduced_nonminimal_transversals":0,"antidiagonals_off_staircase":0}}'
         )
+
+    # each case patches one family of 2143 (RP holds {(1,1),(1,3)},
+    # {(1,1),(2,2)}, {(1,1),(3,1)}; AD holds {(1,1)}, {(1,3),(2,2),(3,1)})
+    # so that the named check fails, and pins the whole report
+    PASS = '{"pass":true,"counterexample":null}'
+    STATS = (
+        '"stats":{"nonminimal_transversals_seen":0,'
+        '"reduced_nonminimal_transversals":0,"antidiagonals_off_staircase":%d}}'
+    )
+    FAILING = {
+        # AD gains {(2,1)}, which no dream meets
+        CHECK_TRANSVERSALITY: (
+            "antidiagonal_family", "ad", [(2, 1)],
+            '{"w":[2,1,4,3],"checks":{"transversality":{"pass":false,"counterexample":'
+            '{"n":4,"members":[[[1,1],[1,3]],[[1,1],[2,2]],[[1,1],[3,1]]]}},'
+            f'"dual_reducedness":{PASS},"rank_antidiagonal":{PASS},"double_dual":{PASS},'
+            '"duality":{"pass":false,"counterexample":{"n":4,"members":[[[1,1],[1,3]],'
+            "[[1,1],[1,3],[2,1]],[[1,1],[2,1],[2,2]],[[1,1],[2,1],[3,1]],"
+            "[[1,1],[2,2]],[[1,1],[3,1]]]}}}," + STATS % 0,
+        ),
+        # dual(AD) gains {(1,2),(2,1)}: both crossings swap slots 2 and 3
+        CHECK_DUAL_REDUCEDNESS: (
+            "dual_with_nonminimal", "rp", [(1, 2), (2, 1)],
+            f'{{"w":[2,1,4,3],"checks":{{"transversality":{PASS},'
+            '"dual_reducedness":{"pass":false,"counterexample":'
+            '{"n":4,"members":[[[1,2],[2,1]]]}},'
+            f'"rank_antidiagonal":{PASS},"double_dual":{PASS},'
+            '"duality":{"pass":false,"counterexample":{"n":4,"members":[[[1,2],[2,1]]]}}},'
+            + STATS % 0,
+        ),
+        # RP gains {(2,1),(2,2)}; the witness is that dream and box (1,1),
+        # where its first rank rectangle fails
+        CHECK_RANK_ANTIDIAGONAL: (
+            "enumerate_rp", "rp", [(2, 1), (2, 2)],
+            '{"w":[2,1,4,3],"checks":{"transversality":{"pass":false,"counterexample":'
+            '{"n":4,"members":[[[2,1],[2,2]]]}},'
+            f'"dual_reducedness":{PASS},'
+            '"rank_antidiagonal":{"pass":false,"counterexample":'
+            '{"n":4,"members":[[[1,1]],[[2,1],[2,2]]]}},'
+            f'"double_dual":{PASS},'
+            '"duality":{"pass":false,"counterexample":{"n":4,"members":[[[2,1],[2,2]]]}}},'
+            + STATS % 0,
+        ),
+        # AD gains {(1,1),(4,4)}, a superset of {(1,1)} off the staircase
+        CHECK_DOUBLE_DUAL: (
+            "antidiagonal_family", "ad", [(1, 1), (4, 4)],
+            f'{{"w":[2,1,4,3],"checks":{{"transversality":{PASS},'
+            f'"dual_reducedness":{PASS},"rank_antidiagonal":{PASS},'
+            '"double_dual":{"pass":false,"counterexample":{"n":4,"members":[[[1,1],[4,4]]]}},'
+            '"duality":{"pass":false,"counterexample":{"n":4,"members":[[[1,1],[4,4]]]}}},'
+            + STATS % 1,
+        ),
+    }
+
+    @pytest.mark.parametrize("check", list(FAILING))
+    def test_failing_report_bytes_are_pinned_per_check(self, monkeypatch, check):
+        target, base, extra, want = self.FAILING[check]
+        w = parse_permutation("2143")
+        family = {"rp": enumerate_rp, "ad": antidiagonal_family}[base](w)
+        patched = SetFamily.from_sets(4, family.members + (tuple(extra),))
+        if target == "dual_with_nonminimal":
+            monkeypatch.setattr(
+                verification, target, lambda f: (patched, SetFamily.empty(4))
+            )
+        else:
+            monkeypatch.setattr(verification, target, lambda v: patched)
+        report = verify_permutation(w)
+        assert check in report.failed_checks()
+        assert report_to_json(report) == want
+
+    def test_bruhat_witness_bytes_are_pinned(self, monkeypatch):
+        # a comparison that calls everything comparable first disagrees with
+        # the closure at w = 132, v = 123: the witness holds both matrices
+        monkeypatch.setattr(verification, "bruhat_geq", lambda v, w: True)
+        assert report_to_json(verify_bruhat_oracle(3)) == (
+            '{"w":[1,2,3],"checks":{"bruhat_oracle":{"pass":false,"counterexample":'
+            '{"n":3,"members":[[[1,1],[2,2],[3,3]],[[1,1],[2,3],[3,2]]]}}},"stats":{}}'
+        )
