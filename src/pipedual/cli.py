@@ -12,12 +12,14 @@ The first four are rows of one table, ``_QUERIES``.  Only payload goes
 to stdout; diagnostics go to stderr.  Exit statuses: 0 success, 1
 verification failure, 2 argument or permutation parse failure, 3
 malformed family JSON, 4 verification budget exhausted with all
-completed permutations passing.
+completed permutations passing, 141 stdout closed by its reader (the
+status of a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -45,6 +47,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BAD_JSON = 3
 EXIT_BUDGET = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 class _CliError(Exception):
@@ -132,15 +135,16 @@ def _cmd_verify(args) -> int:
     json_out = args.format == "json"
     if json_out:
         sys.stdout.write("[")
-    for report in iter_verify(args.n, budget_seconds=args.budget, jobs=args.jobs):
-        if json_out:
-            sys.stdout.write(("," if checked else "") + report_to_json(report))
-        elif report.passed:
-            print(f"{report.permutation} ok")
-        else:
-            print(f"{report.permutation} FAIL: {', '.join(report.failed_checks())}")
-        checked += 1
-        passed += report.passed
+    with contextlib.closing(iter_verify(args.n, args.budget, args.jobs)) as reports:
+        for report in reports:
+            if json_out:
+                sys.stdout.write(("," if checked else "") + report_to_json(report))
+            elif report.passed:
+                print(f"{report.permutation} ok")
+            else:
+                print(f"{report.permutation} FAIL: {', '.join(report.failed_checks())}")
+            checked += 1
+            passed += report.passed
     print("]" if json_out else f"{passed}/{checked} permutations pass")
     exhausted = checked < math.factorial(args.n)
     if exhausted:
@@ -228,10 +232,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     jobs.default = _jobs_default()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # the reader is gone (a sweep has closed its pool on the way out):
+        # with stdout on devnull, the flush at exit drops the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

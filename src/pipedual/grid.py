@@ -17,9 +17,12 @@ def staircase_boxes(n: int) -> tuple[Box, ...]:
     >>> staircase_boxes(3)
     ((1, 1), (1, 2), (2, 1))
     """
-    return tuple(
-        (i, j) for i in range(1, n) for j in range(1, n - i + 1)
-    )
+    return tuple((i // n + 1, i % n + 1) for i in cells(staircase_mask(n)))
+
+
+def staircase_mask(n: int) -> int:
+    """The mask of :func:`staircase_boxes`: row r holds columns 1 .. n - r."""
+    return sum(((1 << n - r) - 1) << (r - 1) * n for r in range(1, n))
 
 
 def pack(n: int, boxes: Iterable[Box]) -> int:

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .grid import Box, Lanes, staircase_boxes
+from .grid import Box, Lanes, staircase_boxes, staircase_mask
 from .permutations import Permutation, length
 from .transversals import SetFamily
 
@@ -210,11 +210,10 @@ def trace_lanes(lanes: Lanes) -> tuple[list[int], int]:
     n, packed, ones, top = lanes.n, lanes.packed, lanes.ones, lanes.top
     high = 8 * lanes.size - 1  # the top bit of a lane
     slots = [ones * k for k in range(n + 1)]
-    bad = stair = 0
+    bad = 0
     for c in range(1, n):
         for r in range(n - c, 0, -1):
             bit = (r - 1) * n + c - 1
-            stair |= 1 << bit
             # 1 at the foot of each lane whose mask holds box (r, c)
             crossed = packed >> bit & ones
             if crossed:
@@ -223,7 +222,7 @@ def trace_lanes(lanes: Lanes) -> tuple[list[int], int]:
                 bad |= ((a | top) - b) & crossed << high
                 swap = (a ^ b) & crossed * ((1 << high) - 1)
                 slots[k], slots[k + 1] = a ^ swap, b ^ swap
-    return slots, bad | lanes.nonzero(packed & ~(ones * stair))
+    return slots, bad | lanes.nonzero(packed & ~(ones * staircase_mask(n)))
 
 
 def reduced_traces(n: int, masks: Iterable[int]) -> Iterator[tuple[int, ...] | None]:

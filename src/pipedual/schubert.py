@@ -142,15 +142,11 @@ def polynomial_to_str(poly: Polynomial) -> str:
     return " + ".join(parts)
 
 
-def polynomial_to_json_obj(poly: Polynomial) -> list:
-    return [{"coeff": c, "exponents": list(e)} for e, c in poly.terms]
-
-
 _JSON_TERM = '{{"coeff":{},"exponents":[{}]}}'.format
 
 
 def polynomial_to_json(poly: Polynomial) -> str:
-    """``json.dumps(polynomial_to_json_obj(poly), separators=(",", ":"))``,
-    written term by term."""
+    """Compact JSON, ``[{"coeff":c,"exponents":[e1,...]},...]``, one object
+    per term in the polynomial's order."""
     exps = (",".join(map(str, e)) for e, _ in poly.terms)
     return "[" + ",".join(map(_JSON_TERM, (c for _, c in poly.terms), exps)) + "]"

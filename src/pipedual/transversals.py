@@ -33,9 +33,9 @@ class FamilyFormatError(ValueError):
 class SetFamily:
     """A finite family of box sets, held as sorted, distinct masks (see
     :func:`grid.pack`); the constructor canonicalizes.  Box sets enter
-    through :func:`SetFamily.from_sets`, which validates them, and leave
-    through ``members``: boxes sorted by (row, col), members sorted
-    lexicographically.
+    through :func:`SetFamily.from_sets` or :func:`family_from_json_obj`,
+    which validate them, and leave through ``members`` and the writers:
+    boxes sorted by (row, col), members sorted lexicographically.
     """
 
     n: int
@@ -226,11 +226,6 @@ def _ordered_members(family: SetFamily, cell: Callable, join: Callable) -> list:
     return [join(compress(names, key.encode().translate(_PICK))) for key in keys]
 
 
-def family_to_json_obj(family: SetFamily) -> dict:
-    """The family as the JSON object that :func:`family_to_json` writes."""
-    return {"n": family.n, "members": [list(map(list, m)) for m in family.members]}
-
-
 def family_to_json(family: SetFamily) -> str:
     """Canonical compact JSON, ``{"n":n,"members":[[[r,c],...],...]}``,
     written straight from the masks."""
@@ -259,11 +254,10 @@ def family_from_json_obj(obj) -> SetFamily:
     members = obj["members"]
     if not isinstance(members, list):
         raise FamilyFormatError('"members" must be an array')
-    sets: list[list[Box]] = []
+    masks: list[int] = []
     for member in members:
         if not isinstance(member, list):
             raise FamilyFormatError("each member must be an array of boxes")
-        boxes: list[Box] = []
         for box in member:
             if (
                 not isinstance(box, list)
@@ -273,9 +267,8 @@ def family_from_json_obj(obj) -> SetFamily:
                 raise FamilyFormatError(f"malformed box: {box!r}")
             if not (1 <= box[0] <= n and 1 <= box[1] <= n):
                 raise FamilyFormatError(f"box {box!r} outside the {n} x {n} grid")
-            boxes.append((box[0], box[1]))
-        sets.append(boxes)
-    return SetFamily.from_sets(n, sets)
+        masks.append(pack(n, member))
+    return SetFamily(n, masks)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -17,7 +17,6 @@ carry non-asserted observation counters (see the ``stats`` field).
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from collections.abc import Collection, Iterable, Iterator
@@ -26,7 +25,7 @@ from itertools import islice, permutations
 from math import factorial
 
 from .antidiagonals import antidiagonal_family
-from .grid import Lanes, cells, pack
+from .grid import Lanes, cells, pack, staircase_mask
 from .permutations import (
     Permutation,
     all_permutations,
@@ -39,7 +38,7 @@ from .pipedreams import PipeDream, enumerate_rp, reduced_traces, trace_lanes
 from .transversals import (
     SetFamily,
     dual_with_nonminimal,
-    family_to_json_obj,
+    family_to_json,
     minimalize,
     transversal_dual,
 )
@@ -183,9 +182,7 @@ def _check_duality(
 
 
 def _off_staircase_stats(ad: SetFamily) -> dict[str, int]:
-    n = ad.n
-    # row r of the staircase holds columns 1 .. n - r
-    off = ~sum(((1 << n - r) - 1) << (r - 1) * n for r in range(1, n))
+    off = ~staircase_mask(ad.n)
     return {"antidiagonals_off_staircase": sum(1 for m in ad.masks if m & off)}
 
 
@@ -275,10 +272,6 @@ def verify_double_dual(w: Permutation) -> VerificationReport:
     return VerificationReport(w, {CHECK_DOUBLE_DUAL: _check_same(twice, ad)})
 
 
-def _permutation_matrix_boxes(w: Permutation) -> list[tuple[int, int]]:
-    return [(i, w.images[i - 1]) for i in range(1, w.n + 1)]
-
-
 def verify_bruhat_oracle(n: int) -> VerificationReport:
     """Check the rank-matrix comparison against an independent Bruhat
     oracle: the reflexive-transitive closure of transpositions that
@@ -307,12 +300,9 @@ def verify_bruhat_oracle(n: int) -> VerificationReport:
     for i, w in enumerate(perms):
         for j, v in enumerate(perms):
             if bruhat_geq(v, w) != bool(above[i] >> j & 1):
-                witness = SetFamily.from_sets(
-                    n, [_permutation_matrix_boxes(v), _permutation_matrix_boxes(w)]
-                )
-                return VerificationReport(
-                    identity(n), {CHECK_BRUHAT_ORACLE: CheckResult(False, witness)}
-                )
+                matrices = (pack(n, enumerate(u.images, 1)) for u in (v, w))
+                result = CheckResult(False, SetFamily(n, matrices))
+                return VerificationReport(identity(n), {CHECK_BRUHAT_ORACLE: result})
     return VerificationReport(identity(n), {CHECK_BRUHAT_ORACLE: CheckResult(True)})
 
 
@@ -425,23 +415,26 @@ def verify_range(
     return VerificationRun(n, reports, exhausted, time.monotonic() - start)
 
 
+def _result_to_json(result: CheckResult) -> str:
+    family = result.counterexample
+    return '{{"pass":{},"counterexample":{}}}'.format(
+        "true" if result.passed else "false",
+        "null" if family is None else family_to_json(family),
+    )
+
+
 def report_to_json(report: VerificationReport) -> str:
-    obj = {
-        "w": list(report.permutation.images),
-        "checks": {
-            name: {
-                "pass": result.passed,
-                "counterexample": (
-                    None
-                    if result.counterexample is None
-                    else family_to_json_obj(result.counterexample)
-                ),
-            }
-            for name, result in report.checks.items()
-        },
-        "stats": dict(report.stats),
-    }
-    return json.dumps(obj, separators=(",", ":"))
+    """Compact JSON, ``{"w":[...],"checks":{name:{"pass":bool,
+    "counterexample":family or null},...},"stats":{key:int,...}}``, with
+    each counterexample written by :func:`family_to_json`.  Check names
+    and stats keys are constants of this module, plain words that JSON
+    needs no escape for, so they are written as they are."""
+    w = ",".join(map(str, report.permutation.images))
+    checks = ",".join(
+        f'"{name}":{_result_to_json(result)}' for name, result in report.checks.items()
+    )
+    stats = ",".join(f'"{key}":{value}' for key, value in report.stats.items())
+    return f'{{"w":[{w}],"checks":{{{checks}}},"stats":{{{stats}}}}}'
 
 
 def reports_to_json(reports: Iterable[VerificationReport]) -> str:

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from pipedual.cli import (
     EXIT_BAD_JSON,
     EXIT_BUDGET,
     EXIT_FAIL,
+    EXIT_PIPE,
     EXIT_USAGE,
     build_parser,
     main,
@@ -24,7 +26,6 @@ from pipedual.transversals import (
     SetFamily,
     family_from_json,
     family_to_json,
-    family_to_json_obj,
     family_to_text,
 )
 from pipedual.verification import (
@@ -465,7 +466,6 @@ class TestMaskWriter:
     def test_matches_old_writers(self, family):
         members = _old_members(family)
         assert family.members == members
-        assert family_to_json_obj(family) == _old_json_obj(family)
         assert family_to_json(family) == json.dumps(
             _old_json_obj(family), separators=(",", ":")
         )
@@ -576,6 +576,32 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout == "{(1,1), (1,3)}\n{(1,1), (2,2)}\n{(1,1), (3,1)}\n"
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize(
+        "args, first",
+        [
+            ("verify --n 7", "1234567 ok"),
+            ("verify --n 8 --jobs 2", "12345678 ok"),
+            (
+                "rp 317529846",
+                "{(1,1), (1,2), (1,4), (1,5), (1,6), (1,8), (2,2), (2,4), (2,6), "
+                "(3,2), (3,4), (3,6), (4,4)}",
+            ),
+        ],
+        ids=["verify-serial", "verify-jobs2", "rp"],
+    )
+    def test_closed_stdout_exits_quietly(self, args, first):
+        # head stops reading after one line, long before the output ends.
+        # pipedual's stderr is the captured pipe, which run() reads to its
+        # end, so a worker left holding it fails the test by the timeout
+        command = f"{shlex.quote(sys.executable)} -m pipedual {args} | head -1"
+        proc = subprocess.run(
+            ["bash", "-c", command + '; exit "${PIPESTATUS[0]}"'],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_PIPE, first + "\n", "")
 
     def test_stdout_carries_payload_only(self, capsys):
         code, out, err = run_cli(capsys, "dual", "zzz")

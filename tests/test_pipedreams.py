@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from rp_column_oracle import column_enumerate_rp
 
-from pipedual.grid import pack, staircase_boxes
+from pipedual.grid import pack, staircase_boxes, staircase_mask
 from pipedual.permutations import (
     Permutation,
     all_permutations,
@@ -53,6 +53,12 @@ class TestStaircaseInvariant:
 
     def test_accepts_full_staircase(self):
         PipeDream(5, frozenset(staircase_boxes(5)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 12])
+    def test_boxes_and_mask_are_row_plus_col_at_most_n(self, n):
+        boxes = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1) if r + c <= n]
+        assert staircase_boxes(n) == tuple(boxes)
+        assert staircase_mask(n) == pack(n, boxes)
 
 
 class TestTrace:

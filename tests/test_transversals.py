@@ -17,7 +17,6 @@ from pipedual.transversals import (
     family_from_json,
     family_from_json_obj,
     family_to_json,
-    family_to_json_obj,
     family_to_text,
     is_minimal_transversal,
     is_transversal,
@@ -162,8 +161,7 @@ class TestWideMasks:
         assert family_from_json(family_to_json(family)) == family
         # every writer lists the members in ``members`` order
         boxes = [[[r, c] for (r, c) in m] for m in family.members]
-        assert family_to_json_obj(family) == {"n": n, "members": boxes}
-        assert json.loads(family_to_json(family))["members"] == boxes
+        assert json.loads(family_to_json(family)) == {"n": n, "members": boxes}
         assert family_to_text(family) == "\n".join(
             "{" + ", ".join(f"({r},{c})" for (r, c) in m) + "}" for m in family.members
         )
@@ -348,7 +346,7 @@ class TestTransversalDual:
 class TestJson:
     def test_shape(self):
         w = parse_permutation("2143")
-        obj = family_to_json_obj(enumerate_rp(w))
+        obj = json.loads(family_to_json(enumerate_rp(w)))
         assert obj == {
             "n": 4,
             "members": [
