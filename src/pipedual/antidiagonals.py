@@ -11,24 +11,21 @@ at Fulton's essential set of w, the antidiagonals of size
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .grid import Box, cells
+from .grid import Box, Frozen, cells
 from .permutations import Permutation, prefix_sets
 from .transversals import SetFamily
 
 
-@dataclass(frozen=True)
-class Antidiagonal:
+class Antidiagonal(Frozen):
     """Boxes sorted by row; rows strictly increase, columns strictly decrease."""
 
-    boxes: tuple[Box, ...]
-
-    def __post_init__(self):
-        for (r1, c1), (r2, c2) in zip(self.boxes, self.boxes[1:]):
+    def __init__(self, boxes: tuple[Box, ...]):
+        for (r1, c1), (r2, c2) in zip(boxes, boxes[1:]):
             if not (r1 < r2 and c1 > c2):
-                raise ValueError(f"not an antidiagonal: {self.boxes!r}")
+                raise ValueError(f"not an antidiagonal: {boxes!r}")
+        self.__dict__["boxes"] = boxes
 
     def __len__(self) -> int:
         return len(self.boxes)

@@ -25,8 +25,8 @@ import math
 import os
 import sys
 import time
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Sequence
 
 from .antidiagonals import antidiagonal_family
 from .permutations import Permutation, parse_permutation

@@ -1,11 +1,48 @@
 """Shared grid vocabulary: 1-based (row, column) boxes of an n x n grid,
-their bit-packed masks, and masks packed side by side into lanes."""
+their bit-packed masks, and masks packed side by side into lanes; and the
+base classes of the package's value types."""
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 Box = tuple[int, int]
+
+
+class Record:
+    """A value compared and printed by its fields: the attributes that the
+    subclass's ``__init__`` sets, in that order.  Two records are equal when
+    they are of one class with equal fields.  Records are mutable and so
+    unhashable.  Pickling saves and restores the fields without calling
+    ``__init__``, so nothing is validated or sorted twice.
+    """
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """A read-only record, hashable by its fields.  ``__init__`` writes the
+    fields into ``__dict__``; assigning or deleting an attribute afterwards
+    raises ``AttributeError``.
+    """
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {self.__class__.__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {self.__class__.__name__}")
 
 
 def staircase_boxes(n: int) -> tuple[Box, ...]:

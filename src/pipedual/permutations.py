@@ -21,21 +21,20 @@ True
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterator
 from operator import or_
-from typing import Iterator
+
+from .grid import Frozen
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A permutation w of {1..n}; ``images[i-1] == w(i)``."""
 
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if n < 1 or sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images!r}")
+    def __init__(self, images: tuple[int, ...]):
+        n = len(images)
+        if n < 1 or sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images!r}")
+        self.__dict__["images"] = images
 
     @property
     def n(self) -> int:
@@ -88,16 +87,15 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation(tuple(int(t) for t in tokens))
 
 
-@dataclass(frozen=True)
-class RankMatrix:
+class RankMatrix(Frozen):
     """Prefix-sum table of a permutation matrix.
 
     ``entry(p, q)`` is the number of one-entries weakly northwest of
     (p, q), i.e. the rank of the upper-left p x q submatrix.
     """
 
-    n: int
-    entries: tuple[tuple[int, ...], ...]
+    def __init__(self, n: int, entries: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(n=n, entries=entries)
 
     def entry(self, p: int, q: int) -> int:
         if not (1 <= p <= self.n and 1 <= q <= self.n):

@@ -16,47 +16,45 @@ through the north edge, so tracing always yields a permutation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from collections.abc import Callable, Iterable, Iterator
+from functools import total_ordering
 
-from .grid import Box, Lanes, staircase_boxes, staircase_mask
+from .grid import Box, Frozen, Lanes, staircase_boxes, staircase_mask
 from .permutations import Permutation, length
 from .transversals import SetFamily
 
 # largest n for which the subset-enumeration oracle stays cheap
 BRUTE_FORCE_MAX_N = 6
 
-T = TypeVar("T")
 
-
-@dataclass(frozen=True)
-class PipeDream:
+class PipeDream(Frozen):
     """Crossing-box set of an n x n pipe dream."""
 
-    n: int
-    crosses: frozenset[Box]
-
-    def __post_init__(self):
-        for (r, c) in self.crosses:
-            if not (1 <= r and 1 <= c and r + c <= self.n):
+    def __init__(self, n: int, crosses: frozenset[Box]):
+        for (r, c) in crosses:
+            if not (1 <= r and 1 <= c and r + c <= n):
                 raise ValueError(
                     f"crossing tile ({r}, {c}) outside the staircase of the "
-                    f"{self.n} x {self.n} grid"
+                    f"{n} x {n} grid"
                 )
+        self.__dict__.update(n=n, crosses=crosses)
 
 
-@dataclass(frozen=True, order=True)
-class PipePair:
+@total_ordering
+class PipePair(Frozen):
     """An unordered pair of pipes (labeled by entry row, a < b) together
-    with the number of tiles where they cross."""
+    with the number of tiles where they cross; pairs order by (a, b,
+    crossings)."""
 
-    a: int
-    b: int
-    crossings: int
+    def __init__(self, a: int, b: int, crossings: int):
+        if not a < b:
+            raise ValueError(f"pipe pair not normalized: {a}, {b}")
+        self.__dict__.update(a=a, b=b, crossings=crossings)
 
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"pipe pair not normalized: {self.a}, {self.b}")
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.crossings) < (other.a, other.b, other.crossings)
 
 
 def _walk(dream: PipeDream):
@@ -122,7 +120,7 @@ def is_reduced(dream: PipeDream) -> bool:
     return all(pair.crossings <= 1 for pair in crossing_counts(dream))
 
 
-def fold_rows(w: Permutation, start: T, add: Callable[[dict, tuple, T, int], None]) -> T:
+def fold_rows(w: Permutation, start, add: Callable[[dict, tuple, object, int], None]):
     """A fold over the reduced pipe dreams of w, built row by row from the
     top, working back from w.  The west and south pipes of box (r, c) sit
     in the adjacent slots k and k + 1, k = r + c - 1, and a crossing swaps
@@ -153,7 +151,7 @@ def fold_rows(w: Permutation, start: T, add: Callable[[dict, tuple, T, int], Non
     frontier = {w.inverse().images: start}
     for r in range(1, n):
         first = (r - 1) * n  # the bit of box (r, 1), in slot r
-        below: dict[tuple[int, ...], T] = {}
+        below: dict[tuple[int, ...], object] = {}
         while frontier:
             pipes, acc = frontier.popitem()
             at = pipes.index(r)  # pipe r sits in slot p = r + at

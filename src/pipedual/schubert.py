@@ -10,9 +10,9 @@ renderings canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
+from .grid import Frozen
 from .permutations import Permutation
 from .pipedreams import fold_rows
 
@@ -33,12 +33,12 @@ def _term_key(exponents: ExponentVector):
     return (sum(exponents), exponents)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Frozen):
     """Integer-coefficient polynomial in x1, x2, ...; terms sorted in
     descending graded lex order and free of zero coefficients."""
 
-    terms: tuple[tuple[ExponentVector, int], ...]
+    def __init__(self, terms: tuple[tuple[ExponentVector, int], ...]):
+        self.__dict__["terms"] = terms
 
     @staticmethod
     def from_dict(coeffs: Mapping[Iterable[int], int]) -> Polynomial:

@@ -11,15 +11,13 @@ it holds no pool of candidate transversals.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from functools import reduce
 from itertools import compress, pairwise, repeat, starmap
 from operator import eq, itemgetter, or_
-from typing import Callable, Iterable
 
-from .grid import Box, cells, pack
+from .grid import Box, Frozen, cells, pack
 
 _PICK = bytes.maketrans(b"01", b"\1\0")  # a key's set bits as compress selectors
 _LANE_TABLE_BYTES = 1 << 22  # bound on the lane copies one MMCS search keeps
@@ -29,8 +27,7 @@ class FamilyFormatError(ValueError):
     """Raised when serialized family data does not match the schema."""
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(Frozen):
     """A finite family of box sets, held as sorted, distinct masks (see
     :func:`grid.pack`); the constructor canonicalizes.  Box sets enter
     through :func:`SetFamily.from_sets` or :func:`family_from_json_obj`,
@@ -38,13 +35,17 @@ class SetFamily:
     boxes sorted by (row, col), members sorted lexicographically.
     """
 
-    n: int
-    masks: tuple[int, ...]
+    def __init__(self, n: int, masks: Iterable[int]):
+        masks = sorted(masks)
+        if any(starmap(eq, pairwise(masks))):  # a set only if there are any
+            masks = sorted(set(masks))
+        d = self.__dict__
+        d["n"], d["masks"] = n, tuple(masks)
 
-    def __post_init__(self):
-        masks = sorted(self.masks)
-        dup = any(starmap(eq, pairwise(masks)))  # a set only if there are any
-        object.__setattr__(self, "masks", tuple(sorted(set(masks)) if dup else masks))
+    def __repr__(self) -> str:
+        # in hex: a decimal int past 4,300 digits raises ValueError
+        masks = ", ".join(map(hex, self.masks)) + ("," if len(self.masks) == 1 else "")
+        return f"SetFamily(n={self.n}, masks=({masks}))"
 
     @staticmethod
     def from_sets(n: int, sets: Iterable[Iterable[Box]]) -> SetFamily:
@@ -279,6 +280,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def family_from_json(text: str) -> SetFamily:
+    import json  # here, not at the top: only ``dual FILE`` reads JSON
+
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:

@@ -20,12 +20,11 @@ from __future__ import annotations
 import time
 from collections import deque
 from collections.abc import Collection, Iterable, Iterator
-from dataclasses import dataclass, field
 from itertools import islice, permutations
 from math import factorial
 
 from .antidiagonals import antidiagonal_family
-from .grid import Lanes, cells, pack, staircase_mask
+from .grid import Lanes, Record, cells, pack, staircase_mask
 from .permutations import (
     Permutation,
     all_permutations,
@@ -69,21 +68,24 @@ BRUHAT_ORACLE_MAX_N = 5
 CHUNK_SIZE = 32
 
 
-@dataclass
-class CheckResult:
-    passed: bool
-    counterexample: SetFamily | None = None
-
-    def __post_init__(self):
-        if not self.passed and self.counterexample is None:
+class CheckResult(Record):
+    def __init__(self, passed: bool, counterexample: SetFamily | None = None):
+        if not passed and counterexample is None:
             raise ValueError("a failing check must carry a counterexample")
+        self.passed = passed
+        self.counterexample = counterexample
 
 
-@dataclass
-class VerificationReport:
-    permutation: Permutation
-    checks: dict[str, CheckResult]
-    stats: dict[str, int] = field(default_factory=dict)
+class VerificationReport(Record):
+    def __init__(
+        self,
+        permutation: Permutation,
+        checks: dict[str, CheckResult],
+        stats: dict[str, int] | None = None,
+    ):
+        self.permutation = permutation
+        self.checks = checks
+        self.stats = {} if stats is None else stats
 
     @property
     def passed(self) -> bool:
@@ -93,15 +95,17 @@ class VerificationReport:
         return [name for name, result in self.checks.items() if not result.passed]
 
 
-@dataclass
-class VerificationRun:
+class VerificationRun(Record):
     """Outcome of a sweep over S_n: reports for the permutations finished
     before the budget ran out, in lexicographic order."""
 
-    n: int
-    reports: list[VerificationReport]
-    exhausted: bool
-    elapsed: float
+    def __init__(
+        self, n: int, reports: list[VerificationReport], exhausted: bool, elapsed: float
+    ):
+        self.n = n
+        self.reports = reports
+        self.exhausted = exhausted
+        self.elapsed = elapsed
 
     @property
     def passed_count(self) -> int:
