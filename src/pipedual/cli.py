@@ -26,7 +26,6 @@ import os
 import sys
 import time
 from collections.abc import Sequence
-from pathlib import Path
 
 from .antidiagonals import antidiagonal_family
 from .permutations import Permutation, parse_permutation
@@ -75,9 +74,10 @@ def _family_of(token: str) -> SetFamily:
     if w is not None:
         return antidiagonal_family(w)
     try:
-        if not Path(token).is_file():
+        if not os.path.isfile(token):
             raise FileNotFoundError(token)
-        return family_from_json(Path(token).read_text(encoding="utf-8"))
+        with open(token, encoding="utf-8") as file:
+            return family_from_json(file.read())
     except OSError:
         raise _CliError(
             EXIT_USAGE, f"{token!r} is neither a permutation nor a readable file"

@@ -21,6 +21,7 @@ from .grid import Box, Frozen, cells, pack
 
 _PICK = bytes.maketrans(b"01", b"\1\0")  # a key's set bits as compress selectors
 _LANE_TABLE_BYTES = 1 << 22  # bound on the lane copies one MMCS search keeps
+_JSON_MASK_BYTES = 1 << 26  # bound on the mask bytes of a family read from JSON
 
 
 class FamilyFormatError(ValueError):
@@ -111,30 +112,31 @@ def minimalize(family: SetFamily) -> SetFamily:
 
 def transversal_dual(family: SetFamily) -> SetFamily:
     """All inclusion-minimal transversals, canonically ordered, by
-    :func:`_mmcs` deferring no member.  The empty family's dual holds just
-    the empty set; a family holding the empty set has no transversals."""
-    return SetFamily(family.n, _mmcs(family.masks, False)[0])
+    :func:`_mmcs`.  The empty family's dual holds just the empty set; a
+    family holding the empty set has no transversals."""
+    return SetFamily(family.n, _mmcs(family.masks)[0])
 
 
-def _mmcs(members: tuple[int, ...], defer: bool) -> tuple[list[int], list[int]]:
+def _mmcs(members: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Depth-first MMCS (Murakami and Uno, "Efficient algorithms for
     dualizing large-scale hypergraphs", Discrete Appl. Math. 2014) on an
     explicit stack: the minimal transversals of the members, and each
     non-minimal p | c for p a minimal transversal of the others that misses
     the member ``last`` and c a cell of ``last``.  The members are taken in
     one order, by size and then as given; ``last`` is the last member of
-    that order if ``defer``, else none.  A node holds the chosen cells, the
-    cells still allowed, the members not yet met (a bit set over that
-    order) and, per chosen cell, its critical members: those the chosen
-    cells meet in that cell alone.  A node branches on its first unmet
-    member; the child for its i-th allowed cell may not use its later
-    cells, so every minimal transversal is found once.  A child whose cell
-    leaves an earlier cell without a critical member is cut, so every node
-    is a minimal transversal of the members it meets; one meeting all is a
-    result, never pushed.  Until every other member is met, a node missing
+    that order.  A node holds the chosen cells, the cells still allowed,
+    the members not yet met (a bit set over that order) and, per chosen
+    cell, its critical members: those the chosen cells meet in that cell
+    alone.  A node branches on its first unmet member; the child for its
+    i-th allowed cell may not use its later cells, so every minimal
+    transversal is found once.  A child whose cell leaves an earlier cell
+    without a critical member is cut, so every node is a minimal
+    transversal of the members it meets; one meeting all is a result,
+    never pushed.  Until every other member is met, a node missing
     ``last`` is one a search of the others would hold: the p are the nodes
-    whose unmet set is ``last``'s bit alone, each once, and p | c is
-    minimal iff c passes the cut (``last`` is critical for c).
+    whose unmet set is ``last``'s bit alone, each once.  They never branch:
+    p | c is minimal iff c passes the cut (``last`` is critical for c), a
+    result if c is allowed (else another node finds it), else a reject.
 
     Critical sets share one int, as in :class:`grid.Lanes`: per chosen cell
     (at most min(#cells, #members), each with a critical member of its own)
@@ -152,8 +154,7 @@ def _mmcs(members: tuple[int, ...], defer: bool) -> tuple[list[int], list[int]]:
             member ^= cell
             holders[cell] = holders.get(cell, 0) | 1 << i
     size, everyone = len(order) // 8 + 1, (1 << len(order)) - 1
-    last = order[-1] if defer and order else 0
-    lastbit = 1 << (len(order) - 1) if last else 0
+    lastbit = 1 << len(order) >> 1  # last's bit, 0 if there are no members
     # one lane's bytes: each cell's non-holders, and the top bit
     lane = {c: (everyone ^ h).to_bytes(size, "little") for c, h in holders.items()}
     top_lane = bytes(size - 1) + b"\x80"
@@ -163,21 +164,21 @@ def _mmcs(members: tuple[int, ...], defer: bool) -> tuple[list[int], list[int]]:
     cap = min(len(holders), len(order), _LANE_TABLE_BYTES // (size * len(holders) or 1))
     keep = {c: repeated(b, cap) for c, b in lane.items()}
     tops = [repeated(top_lane, d) for d in range(cap + 1)]
-    deferred = [cell for cell in holders if cell & last]
-    found, rejects = [], []
+    last_cells = [cell for cell, held in holders.items() if held & lastbit]
+    found, rejects = [] if order else [0], []  # no members: just the empty set
     stack = [(0, reduce(or_, order, 0), everyone, 0)]
     while stack:
         chosen, allowed, unmet, critical = stack.pop()
         d = chosen.bit_count()
         top = tops[d] if d <= cap else repeated(top_lane, d)
         if unmet == lastbit:  # only last is unmet: chosen is a p
-            if not unmet:  # only the root of a search without members
-                found.append(chosen)
-                continue
-            for cell in deferred:
+            for cell in last_cells:
                 cut = keep[cell] if d <= cap else repeated(lane[cell], d)
                 if (top - (critical & cut)) & top:
                     rejects.append(chosen | cell)
+                elif cell & allowed:
+                    found.append(chosen | cell)
+            continue
         branch = order[(unmet & -unmet).bit_length() - 1] & allowed
         allowed &= ~branch
         while branch:
@@ -202,9 +203,9 @@ def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
     of the largest size.  The final round extends each minimal
     transversal p of the others that misses it by each of its cells c,
     and discards the p | c not minimal for the family (none is minimal
-    for the others): the rejects of :func:`_mmcs` deferring that member.
+    for the others): the rejects of :func:`_mmcs`.
     """
-    dual, rejects = _mmcs(family.masks, True)
+    dual, rejects = _mmcs(family.masks)
     return SetFamily(family.n, dual), SetFamily(family.n, rejects)
 
 
@@ -250,26 +251,25 @@ def family_from_json_obj(obj) -> SetFamily:
         raise FamilyFormatError('family object needs exactly the keys "n" and "members"')
     n = obj["n"]
     # a mask takes n^2 bits: n <= 4096 keeps one at or under 2 MiB
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 4096:
+    if type(n) is not int or not 1 <= n <= 4096:  # not a bool either
         raise FamilyFormatError('"n" must be an integer from 1 to 4096')
     members = obj["members"]
     if not isinstance(members, list):
         raise FamilyFormatError('"members" must be an array')
-    masks: list[int] = []
+    total = 0  # the members' mask bytes, a repeat counted each time
     for member in members:
         if not isinstance(member, list):
             raise FamilyFormatError("each member must be an array of boxes")
         for box in member:
-            if (
-                not isinstance(box, list)
-                or len(box) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in box)
-            ):
+            if not isinstance(box, list) or list(map(type, box)) != [int, int]:
                 raise FamilyFormatError(f"malformed box: {box!r}")
             if not (1 <= box[0] <= n and 1 <= box[1] <= n):
                 raise FamilyFormatError(f"box {box!r} outside the {n} x {n} grid")
-        masks.append(pack(n, member))
-    return SetFamily(n, masks)
+        # a mask whose last box is bit (r - 1) * n + c - 1 takes that // 8 + 1 bytes
+        total += max(((r - 1) * n + c + 7 for r, c in member), default=0) // 8
+    if total > _JSON_MASK_BYTES:  # checked before any mask is built
+        raise FamilyFormatError("the members' masks would take over 64 MiB")
+    return SetFamily(n, (pack(n, member) for member in members))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

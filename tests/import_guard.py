@@ -12,8 +12,12 @@ startup does not count.  Exit status 0 if the import added none of
 import sys
 
 # dataclasses pulls in inspect, ast, dis and tokenize; json is read only by
-# ``dual FILE``; the process pool is imported when a sweep starts one
-HEAVY = ("dataclasses", "inspect", "json", "typing", "multiprocessing", "concurrent.futures")
+# ``dual FILE``; pathlib pulls in urllib.parse and ipaddress; the process
+# pool is imported when a sweep starts one
+HEAVY = (
+    "dataclasses", "inspect", "json", "pathlib", "typing",
+    "multiprocessing", "concurrent.futures",
+)
 
 
 def added_heavy_modules() -> list[str]:

@@ -89,7 +89,10 @@ class TestOracle:
 
 
 def assert_same_duals(family):
-    assert dual_with_nonminimal(family) == berge_dual_with_nonminimal(family)
+    """MMCS against Berge, through both readers of the one MMCS search."""
+    dual_and_rejects = dual_with_nonminimal(family)
+    assert dual_and_rejects == berge_dual_with_nonminimal(family)
+    assert transversal_dual(family) == dual_and_rejects[0]
 
 
 def tabulate_lanes(monkeypatch, family, lanes):
@@ -143,10 +146,10 @@ class TestMmcsAgainstBerge:
             # others meets it and the final round extends nothing
             ([[(1, 1), (1, 2)], [(1, 1), (1, 2), (2, 1)], [(2, 2), (3, 3)]], []),
             # (1, 2) lies in both members; {(1, 1)} misses the last and is
-            # extended by (1, 2) too, though MMCS may not branch on it there
+            # extended by (1, 2) too, a cell MMCS does not allow at that node
             ([[(1, 1), (1, 2)], [(1, 2), (2, 1), (2, 2)]], [[(1, 1), (1, 2)]]),
             # equal sizes: {(2,1),(2,2)} is the largest mask, so it is
-            # taken last; deferring {(1,1),(2,1)} would find no rejects
+            # taken last; taking {(1,1),(2,1)} last would find no rejects
             (
                 [[(1, 1), (2, 1)], [(1, 2), (2, 2)], [(2, 1), (2, 2)]],
                 [[(1, 1), (1, 2), (2, 1)], [(1, 1), (1, 2), (2, 2)]],

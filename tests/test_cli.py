@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+from pipedual import cli
 from pipedual.cli import (
     EXIT_BAD_JSON,
     EXIT_BUDGET,
@@ -166,6 +167,35 @@ class TestDual:
         assert out == _format_member(cells) + "\n"
         assert peak < 32 * 2**20
 
+    # one box in the last row of the largest grid makes a mask of about
+    # 2 MiB; the masks of a family read from JSON may take 64 MiB in all
+    def test_family_over_the_mask_bound_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "over.json"
+        path.write_text(json.dumps({"n": 4096, "members": [[[4096, 4096]]] * 33}))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "dual", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_BAD_JSON and out == ""
+        assert err == "error: the members' masks would take over 64 MiB\n"
+        # 33 masks of 2 MiB: rejected before one of them is built
+        assert peak < 2**20
+
+    def test_family_under_the_mask_bound_dualizes(self, capsys, tmp_path):
+        row = [(4096, c) for c in range(4065, 4097)]  # 32 masks, just under 64 MiB
+        path = tmp_path / "under.json"
+        path.write_text(json.dumps({"n": 4096, "members": [[[1, 1], box] for box in row]}))
+        code, out, err = run_cli(capsys, "dual", str(path))
+        assert (code, err) == (0, "")
+        assert out == "{(1,1)}\n" + _format_member(row) + "\n"
+
+    def test_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "dual", str(tmp_path))
+        assert code == EXIT_USAGE and out == ""
+        assert "neither a permutation nor a readable file" in err
+
     def test_malformed_json_exits_3(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"n": 2, "members": [[[9, 9]]]}')
@@ -199,14 +229,14 @@ class TestDual:
         assert "neither a permutation nor a readable file" in err
 
     def test_file_without_read_permission_exits_2(self, capsys, tmp_path, monkeypatch):
-        # root reads any file, so the denial is simulated
+        # root reads any file, so the denial is simulated on the CLI's open
         path = tmp_path / "locked.json"
         path.write_text('{"n": 2, "members": []}')
 
-        def denied(self, *args, **kwargs):
-            raise PermissionError(13, "Permission denied", str(self))
+        def denied(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", file)
 
-        monkeypatch.setattr(Path, "read_text", denied)
+        monkeypatch.setattr(cli, "open", denied, raising=False)
         code, out, err = run_cli(capsys, "dual", str(path))
         assert code == EXIT_USAGE
         assert out == ""

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, strategies as st
 
+from pipedual import transversals
 from pipedual.antidiagonals import antidiagonal_family
 from pipedual.cli import _family_to_ascii
 from pipedual.grid import cells
@@ -391,6 +392,17 @@ class TestJson:
         loaded = family_from_json('{"n": 4096, "members": [[[4096, 4096]], [[1, 1]]]}')
         assert loaded.masks == (1, 1 << (4096 * 4096 - 1))
         assert family_from_json(family_to_json(loaded)) == loaded
+
+    def test_mask_bytes_bound(self, monkeypatch):
+        # box (8, 8) is bit 63, so a member holding it takes 8 bytes of mask
+        # whatever its other boxes; a repeat counts each time, the empty
+        # member not at all
+        monkeypatch.setattr(transversals, "_JSON_MASK_BYTES", 16)
+        at_bound = {"n": 8, "members": [[[1, 1], [8, 8]], [[8, 8]], [], []]}
+        assert family_from_json_obj(at_bound).masks == (0, 1 << 63, 1 | 1 << 63)
+        repeated = {"n": 8, "members": [[[8, 8]], [[8, 8]], [[1, 1]]]}
+        with pytest.raises(FamilyFormatError, match="masks would take over"):
+            family_from_json_obj(repeated)
 
     def test_emits_compact_valid_json(self):
         family = SetFamily.from_sets(2, [[(1, 1)]])

@@ -176,11 +176,13 @@ def test_import_loads_no_heavy_module():
     env = dict(os.environ)
     src = str(HERE.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(HERE / "import_guard.py")],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
+    # without site (-S) too: a .pth file that preloads a module hides it
+    for flags in ([], ["-S"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, str(HERE / "import_guard.py")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (flags, proc.returncode, proc.stderr) == (flags, 0, "")

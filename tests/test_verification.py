@@ -451,13 +451,13 @@ def _count_calls(monkeypatch, module, name, counts):
 
 
 def _record_searches(monkeypatch):
-    """Count the MMCS searches, keyed by (members, whether one is deferred)."""
+    """Count the MMCS searches, keyed by their members."""
     searches: collections.Counter = collections.Counter()
     original = transversals._mmcs
 
-    def recorded(members, defer):
-        searches[tuple(members), defer] += 1
-        return original(members, defer)
+    def recorded(members):
+        searches[tuple(members)] += 1
+        return original(members)
 
     monkeypatch.setattr(transversals, "_mmcs", recorded)
     return searches
@@ -478,7 +478,7 @@ class TestSinglePass:
         assert counts == {"enumerate_rp": 1, "antidiagonal_family": 1}
         # one search of AD gives dual(AD) and the stats' rejects;
         # dual(AD) == RP makes dual(RP) min(AD), so RP is never searched
-        assert searches == {(ad.masks, True): 1}
+        assert searches == {ad.masks: 1}
 
     def test_only_ad_searched_when_duality_fails(self, monkeypatch):
         w = parse_permutation("13254")
@@ -489,7 +489,7 @@ class TestSinglePass:
         report = verify_permutation(w)
         # dual(AD) differs from short, which decides the duality check:
         # neither short nor dual(AD) is searched
-        assert searches == {(ad.masks, True): 1}
+        assert searches == {ad.masks: 1}
         assert not report.checks[CHECK_DUALITY].passed
         assert report.checks[CHECK_DOUBLE_DUAL].passed
 
@@ -501,8 +501,8 @@ class TestSinglePass:
         monkeypatch.setattr(verification, "enumerate_rp", lambda v: kept)
         _, searches = self._counted(monkeypatch)
         report = verify_theorem(w)
-        # one search of AD deferring no member, whether RP is intact or not
-        assert searches == {(ad.masks, False): 1}
+        # the same one search of AD, whether RP is intact or not
+        assert searches == {ad.masks: 1}
         assert report.checks[CHECK_DUALITY].passed == (not drop)
 
     def test_matches_the_public_checks_over_s5(self):
