@@ -14,12 +14,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from functools import reduce
-from itertools import compress, pairwise, repeat, starmap
-from operator import eq, itemgetter, or_
+from itertools import chain, compress, pairwise, repeat, starmap
+from operator import eq, or_
 
-from .grid import Box, Frozen, cells, pack
+from .grid import Box, Frozen, pack
 
-_PICK = bytes.maketrans(b"01", b"\1\0")  # a key's set bits as compress selectors
+_PLANE_BYTES = 1 << 20  # bound on the mask bytes written at once for the byte plane
 _LANE_TABLE_BYTES = 1 << 22  # bound on the lane copies one MMCS search keeps
 _JSON_MASK_BYTES = 1 << 26  # bound on the mask bytes of a family read from JSON
 
@@ -64,7 +64,9 @@ class SetFamily(Frozen):
     def members(self) -> tuple[tuple[Box, ...], ...]:
         """The box sets in canonical order, in which every writer of the
         family lists them (see :func:`_ordered_members`)."""
-        return tuple(_ordered_members(self, lambda r, c: (r, c), tuple))
+        count, columns = _ordered_members(self, lambda r, c: (r, c), tuple, 0)
+        # the column of empty tuples gives zip one row per member, columns or not
+        return tuple(map(tuple, map(chain.from_iterable, zip(*columns, [()] * count))))
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -209,39 +211,136 @@ def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
     return SetFamily(family.n, dual), SetFamily(family.n, rejects)
 
 
-def _ordered_members(family: SetFamily, cell: Callable, join: Callable) -> list:
-    """The members of the family in canonical order (boxes by (row, col),
-    members lexicographically), each as ``join`` of an iterator over its
-    boxes written by ``cell(r, c)``.  A key has one character per cell of
-    the union of the masks, ascending: "0" if the member has it, else "1",
-    trailing "1"s stripped.  Where keys first differ, the member with "0"
-    has the smaller next cell, and a prefix key's cells start the other's,
-    so keys compare as :func:`grid.cells` lists do, at the union's length.
+# byte v with its bits in reverse order (see the doctest of _sorted_rows)
+_REVERSED = bytes.fromhex(
+    "008040c020a060e0109050d030b070f0088848c828a868e8189858d838b878f8"
+    "048444c424a464e4149454d434b474f40c8c4ccc2cac6cec1c9c5cdc3cbc7cfc"
+    "028242c222a262e2129252d232b272f20a8a4aca2aaa6aea1a9a5ada3aba7afa"
+    "068646c626a666e6169656d636b676f60e8e4ece2eae6eee1e9e5ede3ebe7efe"
+    "018141c121a161e1119151d131b171f1098949c929a969e9199959d939b979f9"
+    "058545c525a565e5159555d535b575f50d8d4dcd2dad6ded1d9d5ddd3dbd7dfd"
+    "038343c323a363e3139353d333b373f30b8b4bcb2bab6beb1b9b5bdb3bbb7bfb"
+    "078747c727a767e7179757d737b777f70f8f4fcf2faf6fef1f9f5fdf3fbf7fff"
+)
+
+
+def _sorted_rows(masks: tuple[int, ...]) -> tuple[list[int], list[bytes]]:
+    """The byte plane of the masks in canonical order: the byte positions
+    that some mask touches, ascending, and one row per mask, sorted, of
+    its key and then its own bytes at those positions.
+
+    The key of a mask m is ``m ^ ((1 << m.bit_length()) - 1)``, the
+    complement of m below its own top cell, with each byte's bits reversed
+    (``_REVERSED``) so that keys compare from the lowest cell.  Rows then
+    sort as the members' cell lists do.  Let a' be a with every cell above
+    a's top; the key of a is the complement of a'.  If a' != b', the member
+    whose primed set holds the lowest cell x where they differ comes
+    first, say a: a' and b' agree below x, and b lacks x but has a cell
+    above it, its top.  So either x is in a, where b's list goes on with
+    a larger cell, or x is above a's top and a is a prefix of b.  Only
+    b's key holds x, so a's is the smaller.  If a' = b', one member is the
+    other plus a run of cells just above its top, so it is the longer
+    one: the keys tie, and its bytes, a superset, are the larger.
+    Dropping the positions that no member touches (0 in every mask, 0 or
+    0xFF in every key) renumbers the cells in order, which keeps both
+    orders.
+
+    Masks are written in chunks of at most ``_PLANE_BYTES`` bytes, one
+    ``to_bytes`` each, and sliced once per touched position, so a sparse
+    union costs its touched bytes, not the grid's.  Keys are built a
+    position at a time from the last: the complement of the mask byte
+    where the member has a cell at a later position, else the complement
+    below the byte's top bit.  No Python code runs per member.
+
+    >>> all(_REVERSED[v] == int(f"{v:08b}"[::-1], 2) for v in range(256))
+    True
+    >>> _sorted_rows((0b10, 0b11, 0b1))  # {1}, {0, 1}, {0}: the last two tie
+    ([0], [b'\\x00\\x01', b'\\x00\\x03', b'\\x80\\x02'])
     """
-    n, union = family.n, reduce(or_, family.masks, 0)
-    at, width = cells(union), union.bit_length()
-    names = [cell(i // n + 1, i % n + 1) for i in at]
-    # bin(x | 1 << width) has bit i at width + 2 - i, and a last "1" at 2
-    picks = itemgetter(*[width + 2 - i for i in at], 2)
-    missed = map(bin, map((union | 1 << width).__xor__, family.masks))
-    keys = sorted(map(str.rstrip, map("".join, map(picks, missed)), repeat("1")))
-    return [join(compress(names, key.encode().translate(_PICK))) for key in keys]
+    import struct  # here, not at the top: only the family writers read it
+
+    union = reduce(or_, masks, 0)
+    span = union.bit_length() // 8 + 1
+    at = list(compress(range(span), union.to_bytes(span, "little")))
+    cols = [bytearray() for _ in at]
+    step = max(1, _PLANE_BYTES // span)
+    for i in range(0, len(masks), step):
+        blob = b"".join(map(int.to_bytes, masks[i:i + step], repeat(span), repeat("little")))
+        for col, j in zip(cols, at):
+            col += blob[j::span]
+    # smear[v] = (1 << v.bit_length()) - 1, v's top bit and every bit below
+    smear = (
+        b"\0\1\3\3" + b"\7" * 4 + b"\x0f" * 8 + b"\x1f" * 16
+        + b"?" * 32 + b"\x7f" * 64 + b"\xff" * 128
+    )
+    count, width = len(masks), len(at)
+    rows, later = bytearray(2 * width * count), 0  # later: 0xFF where a later position is nonzero
+    for k in reversed(range(width)):
+        col = cols[k]
+        ones = later | int.from_bytes(col.translate(smear), "little")
+        key = (int.from_bytes(col, "little") ^ ones).to_bytes(count, "little")
+        rows[k::2 * width] = key.translate(_REVERSED)
+        rows[width + k::2 * width] = col
+        later |= int.from_bytes(col.translate(b"\0" + b"\xff" * 255), "little")
+    return at, sorted(struct.Struct(f"{2 * width}s" * count).unpack(rows))
+
+
+def _ordered_members(
+    family: SetFamily, box: Callable, join: Callable, skip: int
+) -> tuple[int, list[list]]:
+    """The members of the family in canonical order (boxes by (row, col),
+    members lexicographically; see :func:`_sorted_rows`) as fragment
+    columns: the count of members, and per byte position j that some
+    member touches, ascending, each member's fragment there in turn,
+    ``join`` of ``box(r, c)`` over its boxes in cells 8j to 8j + 7, less
+    its first ``skip`` items if the member has no box before cell 8j.  A
+    position's fragments are made once per byte value on each side of
+    that split.  Members whose keys start with k bytes 0xFF, the largest
+    such prefix, are those with no box before the k-th position, so one
+    bisection of the rows finds the split.
+    """
+    n = family.n
+    at, rows = _sorted_rows(family.masks)
+    blob, width, columns = b"".join(rows), len(at), []
+    for k, j in enumerate(at):
+        names = [box(c // n + 1, c % n + 1) for c in range(8 * j, 8 * j + 8)]
+        col, split = blob[width + k::2 * width], bisect_left(rows, b"\xff" * k)
+        fragments = []
+        for cut, part in ((0, col[:split]), (skip, col[split:])):
+            table = [None] * 256
+            for v in set(part):
+                # byte i of the selector is nonzero iff bit i of v is set
+                picks = (v * 0x0101010101010101 & 0x8040201008040201).to_bytes(8, "little")
+                table[v] = join(compress(names, picks))[cut:]
+            fragments += map(table.__getitem__, part)
+        columns.append(fragments)
+    return len(rows), columns
+
+
+def _write(family: SetFamily, box: str, sep: str, brackets: str, after: str) -> str:
+    """The members in canonical order, each its boxes ``box.format(r, c)``
+    joined by ``sep`` in ``brackets``, joined by ``after``: a box is
+    written with ``sep`` before it unless it is its member's first."""
+    count, columns = _ordered_members(family, (sep + box).format, "".join, len(sep))
+    slots = len(columns) + 2
+    out = [brackets[0]] * (count * slots)
+    for k, column in enumerate(columns, 1):
+        out[k::slots] = column
+    out[slots - 1::slots] = [brackets[1] + after] * count
+    if out:
+        out[-1] = brackets[1]
+    return "".join(out)
 
 
 def family_to_json(family: SetFamily) -> str:
     """Canonical compact JSON, ``{"n":n,"members":[[[r,c],...],...]}``,
     written straight from the masks."""
-    members = _ordered_members(
-        family, "[{},{}]".format, lambda boxes: f"[{','.join(boxes)}]"
-    )
-    return f'{{"n":{family.n},"members":[{",".join(members)}]}}'
+    return f'{{"n":{family.n},"members":[{_write(family, "[{},{}]", ",", "[]", ",")}]}}'
 
 
 def family_to_text(family: SetFamily) -> str:
     """One member per line, ``{(r,c), ...}``, in canonical order."""
-    return "\n".join(
-        _ordered_members(family, "({},{})".format, lambda b: "{" + ", ".join(b) + "}")
-    )
+    return _write(family, "({},{})", ", ", "{}", "\n")
 
 
 def family_from_json_obj(obj) -> SetFamily:

@@ -232,6 +232,48 @@ class TestMemberOrder:
         assert text == "\n".join("{" + ", ".join(f"({r},{c})" for r, c in m) + "}" for m in order)
         assert peak < 16 * 2**20
 
+    def test_plane_follows_the_union_not_the_grid(self):
+        # 500 one-box members in row 1 and one at the last cell of the
+        # 1000 x 1000 grid: masks written at full width for all members at
+        # once would take 501 x 125,000 bytes, about 60 MB
+        n = 1000
+        family = SetFamily.from_sets(n, [[(1, c)] for c in range(1, 501)] + [[(n, n)]])
+        tracemalloc.start()
+        try:
+            text = family_to_json(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        order = [[[i // n + 1, i % n + 1] for i in m] for m in sorted(map(cells, family.masks))]
+        assert json.loads(text)["members"] == order
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "n, run",
+        [
+            (4, [1, 3, 4, 5]),  # the tie inside byte 0
+            (4, [2, 6, 7, 8, 9]),  # across cells 7 and 8
+            (257, [1, 65_534, 65_535, 65_536, 65_537]),  # across cells 65,535 and 65,536
+        ],
+    )
+    def test_ties_go_to_the_shorter_member(self, n, run):
+        # each longer prefix of ``run`` is a shorter one plus cells just above
+        # its top, so the complements below their tops, the writer's sort
+        # keys, tie; the neighbours drop a cell or leave a gap, and do not
+        chain = [sum(1 << c for c in run[:k]) for k in range(2, len(run) + 1)]
+        assert len({m ^ ((1 << m.bit_length()) - 1) for m in chain}) == 1
+        first, second = 1 << run[0], 1 << run[1]
+        neighbours = [first, second, first | second << 2, chain[-1] << 1 | first]
+        family = SetFamily(n, chain + neighbours)
+        order = [
+            tuple((i // n + 1, i % n + 1) for i in m) for m in sorted(map(cells, family.masks))
+        ]
+        assert family.members == tuple(order)
+        assert json.loads(family_to_json(family))["members"] == [list(map(list, m)) for m in order]
+        assert family_to_text(family) == "\n".join(
+            "{" + ", ".join(f"({r},{c})" for (r, c) in m) + "}" for m in order
+        )
+
 
 class TestIsTransversal:
     def test_vacuous_on_empty_family(self):
