@@ -17,7 +17,7 @@ from functools import reduce
 from itertools import chain, compress, pairwise, repeat, starmap
 from operator import eq, or_
 
-from .grid import Box, Frozen, pack
+from .grid import Box, Frozen, cells, pack
 
 _PLANE_BYTES = 1 << 20  # bound on the mask bytes written at once for the byte plane
 _LANE_TABLE_BYTES = 1 << 22  # bound on the lane copies one MMCS search keeps
@@ -142,57 +142,55 @@ def _mmcs(members: tuple[int, ...]) -> tuple[list[int], list[int]]:
 
     Critical sets share one int, as in :class:`grid.Lanes`: per chosen cell
     (at most min(#cells, #members), each with a critical member of its own)
-    a lane of ``len(members) // 8 + 1`` bytes with a spare top bit.  The
-    cut ANDs the lanes with the cell's non-holders and takes them from the
-    top bits, which survive on exactly the emptied lanes; repeats over the
-    lanes are tabulated up to ``_LANE_TABLE_BYTES``, then built per use.
+    a lane of ``len(members) // 8 + 1`` bytes with a spare top bit; a node
+    carries its lanes' top bits.  The cut ANDs the lanes with the cell's
+    non-holders, repeated per lane (tabulated up to ``_LANE_TABLE_BYTES``,
+    then built per use), and takes them from the top bits, which survive
+    on exactly the emptied lanes.  Per-cell tables are keyed by bit index.
     """
     order = sorted(members, key=int.bit_count)
-    # per cell: the members containing it, as a bit set over the order
+    # per cell index: the members containing it, as a bit set over the order
     holders: dict[int, int] = {}
     for i, member in enumerate(order):
-        while member:
-            cell = member & -member
-            member ^= cell
-            holders[cell] = holders.get(cell, 0) | 1 << i
+        for c in cells(member):
+            holders[c] = holders.get(c, 0) | 1 << i
     size, everyone = len(order) // 8 + 1, (1 << len(order)) - 1
     lastbit = 1 << len(order) >> 1  # last's bit, 0 if there are no members
-    # one lane's bytes: each cell's non-holders, and the top bit
+    # one lane's bytes: each cell's non-holders
     lane = {c: (everyone ^ h).to_bytes(size, "little") for c, h in holders.items()}
-    top_lane = bytes(size - 1) + b"\x80"
 
     def repeated(pattern: bytes, lanes: int) -> int:  # by bytes: a product is quadratic
         return int.from_bytes(pattern * lanes, "little")
     cap = min(len(holders), len(order), _LANE_TABLE_BYTES // (size * len(holders) or 1))
     keep = {c: repeated(b, cap) for c, b in lane.items()}
-    tops = [repeated(top_lane, d) for d in range(cap + 1)]
-    last_cells = [cell for cell, held in holders.items() if held & lastbit]
+    last_cells = cells(order[-1]) if order else []
     found, rejects = [] if order else [0], []  # no members: just the empty set
-    stack = [(0, reduce(or_, order, 0), everyone, 0)]
+    stack = [(0, reduce(or_, order, 0), everyone, 0, 0)]
     while stack:
-        chosen, allowed, unmet, critical = stack.pop()
+        chosen, allowed, unmet, critical, top = stack.pop()
         d = chosen.bit_count()
-        top = tops[d] if d <= cap else repeated(top_lane, d)
         if unmet == lastbit:  # only last is unmet: chosen is a p
-            for cell in last_cells:
-                cut = keep[cell] if d <= cap else repeated(lane[cell], d)
+            for c in last_cells:
+                cut = keep[c] if d <= cap else repeated(lane[c], d)
                 if (top - (critical & cut)) & top:
-                    rejects.append(chosen | cell)
-                elif cell & allowed:
-                    found.append(chosen | cell)
+                    rejects.append(chosen | 1 << c)
+                elif allowed >> c & 1:
+                    found.append(chosen | 1 << c)
             continue
         branch = order[(unmet & -unmet).bit_length() - 1] & allowed
         allowed &= ~branch
+        child_top = top | 1 << 8 * size * (d + 1) - 1  # with lane d's top bit
         while branch:
             cell = branch & -branch
             branch ^= cell
-            still = critical & (keep[cell] if d <= cap else repeated(lane[cell], d))
+            c = cell.bit_length() - 1
+            still = critical & (keep[c] if d <= cap else repeated(lane[c], d))
             if not (top - still) & top:
-                if not unmet & ~(held := holders[cell]):
+                if not unmet & ~(held := holders[c]):
                     found.append(chosen | cell)
                 else:
                     still |= (unmet & held) << 8 * size * d
-                    stack.append((chosen | cell, allowed, unmet & ~held, still))
+                    stack.append((chosen | cell, allowed, unmet & ~held, still, child_top))
             allowed |= cell
     return found, rejects
 

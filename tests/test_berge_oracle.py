@@ -140,32 +140,45 @@ class TestMmcsAgainstBerge:
         assert_same_duals(family)
 
     @pytest.mark.parametrize(
-        "sets,rejects",
+        "n,sets,rejects",
         [
             # the last member contains another, so every transversal of the
             # others meets it and the final round extends nothing
-            ([[(1, 1), (1, 2)], [(1, 1), (1, 2), (2, 1)], [(2, 2), (3, 3)]], []),
+            (3, [[(1, 1), (1, 2)], [(1, 1), (1, 2), (2, 1)], [(2, 2), (3, 3)]], []),
             # (1, 2) lies in both members; {(1, 1)} misses the last and is
             # extended by (1, 2) too, a cell MMCS does not allow at that node
-            ([[(1, 1), (1, 2)], [(1, 2), (2, 1), (2, 2)]], [[(1, 1), (1, 2)]]),
+            (3, [[(1, 1), (1, 2)], [(1, 2), (2, 1), (2, 2)]], [[(1, 1), (1, 2)]]),
             # equal sizes: {(2,1),(2,2)} is the largest mask, so it is
             # taken last; taking {(1,1),(2,1)} last would find no rejects
             (
+                3,
                 [[(1, 1), (2, 1)], [(1, 2), (2, 2)], [(2, 1), (2, 2)]],
                 [[(1, 1), (1, 2), (2, 1)], [(1, 1), (1, 2), (2, 2)]],
             ),
-            ([[], [(1, 1), (1, 3)]], []),
-            ([[]], []),
-            ([], []),
+            # the last member lies in the last row of the largest grid, at
+            # cells just under bit 2^24: its cells are rejected, found and
+            # left to another node (not allowed) at those indices
+            (
+                4096,
+                [
+                    [(1, 1), (1, 2), (4096, 3)],
+                    [(1, 1), (1, 3), (4096, 2)],
+                    [(4096, 1), (4096, 2), (4096, 3)],
+                ],
+                [[(1, 2), (1, 3), (4096, 2)], [(1, 2), (1, 3), (4096, 3)]],
+            ),
+            (3, [[], [(1, 1), (1, 3)]], []),
+            (3, [[]], []),
+            (3, [], []),
         ],
         ids=[
-            "last-contains", "shared-cells", "equal-sizes",
+            "last-contains", "shared-cells", "equal-sizes", "last-row-of-4096",
             "with-empty", "only-empty", "empty",
         ],
     )
-    def test_deferred_member_edge_cases(self, sets, rejects):
-        family = SetFamily.from_sets(3, sets)
-        assert dual_with_nonminimal(family)[1] == SetFamily.from_sets(3, rejects)
+    def test_deferred_member_edge_cases(self, n, sets, rejects):
+        family = SetFamily.from_sets(n, sets)
+        assert dual_with_nonminimal(family)[1] == SetFamily.from_sets(n, rejects)
         assert_same_duals(family)
 
     def test_two_far_boxes(self):

@@ -187,9 +187,17 @@ class TestDual:
         row = [(4096, c) for c in range(4065, 4097)]  # 32 masks, just under 64 MiB
         path = tmp_path / "under.json"
         path.write_text(json.dumps({"n": 4096, "members": [[[1, 1], box] for box in row]}))
-        code, out, err = run_cli(capsys, "dual", str(path))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "dual", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert (code, err) == (0, "")
         assert out == "{(1,1)}\n" + _format_member(row) + "\n"
+        # the 32 masks take 64 MiB; MMCS keys its per-cell tables by bit
+        # index, so it adds no 2 MiB one-bit key per cell
+        assert peak < 110 * 2**20
 
     def test_directory_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "dual", str(tmp_path))
