@@ -104,6 +104,13 @@ def antidiagonal_family(w: Permutation) -> SetFamily:
     west of it in row p or north of it in column q, so
     1 + rank(w, p, q) <= min(p, q) and every essential rectangle holds one.
 
+    Every member lies in the staircase r + c <= n.  Listed by row, the
+    i-th box (r_i, c_i) of an antidiagonal of s = 1 + rank(w, p, q) boxes
+    in [p] x [q] has r_i <= p - s + i and c_i <= q - i + 1, so
+    r_i + c_i <= p + q - rank(w, p, q) <= n: of rows 1 .. p, the
+    p - rank(w, p, q) that hold their one-entry right of column q hold it
+    in distinct columns q + 1 .. n, so there are at most n - q of them.
+
     Every subset of an antidiagonal is one, so a chain of size s is not
     minimal exactly when some essential rectangle of a size s' < s holds
     s' of its boxes; the chains are cut there as they are built, and no

@@ -177,15 +177,14 @@ def _budget_seconds(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _build_parser()[0]
+    return _parser(os.environ.get("PD_JOBS") or "1")
 
 
-def _jobs_default() -> str:
-    return os.environ.get("PD_JOBS") or "1"
-
-
-def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
-    """A new parser and its verify --jobs action."""
+# one parser per $PD_JOBS value, never modified: argparse sends the string
+# default through _positive_int at parse time, so a bad value fails as a
+# bad --jobs, for verify only
+@functools.lru_cache(maxsize=1)
+def _parser(jobs: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pipedual",
         description="Reduced pipe dreams, antidiagonal families, and their "
@@ -209,28 +208,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         default=600.0,
         help="time budget in seconds (default 600)",
     )
-    jobs = verify.add_argument(
+    verify.add_argument(
         "--jobs",
         type=_positive_int,
-        default=_jobs_default(),
+        default=jobs,
         help="worker processes (default $PD_JOBS or 1)",
     )
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(func=_cmd_verify)
 
-    return parser, jobs
-
-
-# main parses with one parser per process and resets --jobs's default to
-# $PD_JOBS on every call; argparse sends a string default through the
-# action's type at parse time, so a bad $PD_JOBS fails as a bad --jobs
-_main_parser = functools.cache(_build_parser)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser, jobs = _main_parser()
-    jobs.default = _jobs_default()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -146,7 +146,7 @@ def _mmcs(members: tuple[int, ...]) -> tuple[list[int], list[int]]:
     carries its lanes' top bits.  The cut ANDs the lanes with the cell's
     non-holders, repeated per lane (tabulated up to ``_LANE_TABLE_BYTES``,
     then built per use), and takes them from the top bits, which survive
-    on exactly the emptied lanes.  Per-cell tables are keyed by bit index.
+    on exactly the emptied lanes.  Both per-cell tables are keyed by bit index.
     """
     order = sorted(members, key=int.bit_count)
     # per cell index: the members containing it, as a bit set over the order
@@ -156,13 +156,11 @@ def _mmcs(members: tuple[int, ...]) -> tuple[list[int], list[int]]:
             holders[c] = holders.get(c, 0) | 1 << i
     size, everyone = len(order) // 8 + 1, (1 << len(order)) - 1
     lastbit = 1 << len(order) >> 1  # last's bit, 0 if there are no members
-    # one lane's bytes: each cell's non-holders
-    lane = {c: (everyone ^ h).to_bytes(size, "little") for c, h in holders.items()}
 
-    def repeated(pattern: bytes, lanes: int) -> int:  # by bytes: a product is quadratic
-        return int.from_bytes(pattern * lanes, "little")
+    def cut(c: int, lanes: int) -> int:  # c's non-holders per lane; by bytes, not a product
+        return int.from_bytes((everyone ^ holders[c]).to_bytes(size, "little") * lanes, "little")
     cap = min(len(holders), len(order), _LANE_TABLE_BYTES // (size * len(holders) or 1))
-    keep = {c: repeated(b, cap) for c, b in lane.items()}
+    keep = {c: cut(c, cap) for c in holders}
     last_cells = cells(order[-1]) if order else []
     found, rejects = [] if order else [0], []  # no members: just the empty set
     stack = [(0, reduce(or_, order, 0), everyone, 0, 0)]
@@ -171,8 +169,7 @@ def _mmcs(members: tuple[int, ...]) -> tuple[list[int], list[int]]:
         d = chosen.bit_count()
         if unmet == lastbit:  # only last is unmet: chosen is a p
             for c in last_cells:
-                cut = keep[c] if d <= cap else repeated(lane[c], d)
-                if (top - (critical & cut)) & top:
+                if (top - (critical & (keep[c] if d <= cap else cut(c, d)))) & top:
                     rejects.append(chosen | 1 << c)
                 elif allowed >> c & 1:
                     found.append(chosen | 1 << c)
@@ -184,7 +181,7 @@ def _mmcs(members: tuple[int, ...]) -> tuple[list[int], list[int]]:
             cell = branch & -branch
             branch ^= cell
             c = cell.bit_length() - 1
-            still = critical & (keep[c] if d <= cap else repeated(lane[c], d))
+            still = critical & (keep[c] if d <= cap else cut(c, d))
             if not (top - still) & top:
                 if not unmet & ~(held := holders[c]):
                     found.append(chosen | cell)

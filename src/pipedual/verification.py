@@ -186,6 +186,8 @@ def _check_duality(
 
 
 def _off_staircase_stats(ad: SetFamily) -> dict[str, int]:
+    # 0 for every antidiagonal family (see antidiagonal_family), kept
+    # computed since the count is part of every report's bytes
     off = ~staircase_mask(ad.n)
     return {"antidiagonals_off_staircase": sum(1 for m in ad.masks if m & off)}
 

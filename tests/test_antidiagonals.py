@@ -11,7 +11,7 @@ from pipedual.antidiagonals import (
     antidiagonals_in_rectangle,
     essential_set,
 )
-from pipedual.grid import pack
+from pipedual.grid import pack, staircase_mask
 from pipedual.permutations import (
     Permutation,
     all_permutations,
@@ -181,15 +181,21 @@ class TestEssentialSet:
 class TestAllRectanglesOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_agrees_on_all_of_sn(self, n):
+        # and every member lies in the staircase (see antidiagonal_family)
+        off = ~staircase_mask(n)
         for w in all_permutations(n):
-            assert antidiagonal_family(w) == all_rectangles_family(w), str(w)
+            family = antidiagonal_family(w)
+            assert family == all_rectangles_family(w), str(w)
+            assert not any(m & off for m in family.masks), str(w)
 
     @pytest.mark.parametrize("n,seed", [(7, 7), (8, 8), (9, 9)])
     def test_agrees_on_a_seeded_sample(self, n, seed):
-        rng = random.Random(seed)
+        rng, off = random.Random(seed), ~staircase_mask(n)
         for _ in range(20):
             w = Permutation(tuple(rng.sample(range(1, n + 1), n)))
-            assert antidiagonal_family(w) == all_rectangles_family(w), str(w)
+            family = antidiagonal_family(w)
+            assert family == all_rectangles_family(w), str(w)
+            assert not any(m & off for m in family.masks), str(w)
 
 
 class TestPruning:
