@@ -91,7 +91,7 @@ def essential_set(w: Permutation) -> tuple[Box, ...]:
 
 
 def antidiagonal_family(w: Permutation) -> SetFamily:
-    """The inclusion-minimal antidiagonals of w, canonically ordered.
+    """The inclusion-minimal antidiagonals of w.
 
     Collects, for each (p, q) of the essential set, the minimal
     antidiagonals of 1 + rank(w, p, q) boxes in [p] x [q].  The essential

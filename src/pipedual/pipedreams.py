@@ -177,7 +177,7 @@ def _add_masks(below: dict, pipes: tuple, masks: list[int], row: int) -> None:
 
 
 def enumerate_rp(w: Permutation) -> SetFamily:
-    """All reduced pipe dreams tracing to w, as a canonical family: the
+    """All reduced pipe dreams tracing to w, as a family: the
     fold of :func:`fold_rows` over lists of masks.
 
     >>> len(enumerate_rp(Permutation((1, 4, 3, 2))))

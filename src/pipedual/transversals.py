@@ -1,6 +1,7 @@
 """
-Families of box sets over the n x n grid: canonical ordering, minimality
-filtering, transversality tests, and minimal-transversal enumeration.
+Families of box sets over the n x n grid: their canonical writers,
+minimality filtering, transversality tests, and minimal-transversal
+enumeration.
 
 A transversal of a family is a box set meeting every member at least
 once; the transversal dual collects all inclusion-minimal transversals.
@@ -14,8 +15,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from functools import reduce
-from itertools import chain, compress, pairwise, repeat, starmap
-from operator import eq, or_
+from itertools import chain, compress, repeat
+from operator import or_
 
 from .grid import Box, Frozen, cells, pack
 
@@ -29,23 +30,21 @@ class FamilyFormatError(ValueError):
 
 
 class SetFamily(Frozen):
-    """A finite family of box sets, held as sorted, distinct masks (see
-    :func:`grid.pack`); the constructor canonicalizes.  Box sets enter
-    through :func:`SetFamily.from_sets` or :func:`family_from_json_obj`,
-    which validate them, and leave through ``members`` and the writers:
+    """A finite family of box sets, held as a frozenset of masks (see
+    :func:`grid.pack`), so membership, equality and hashing are those of
+    the set.  Box sets enter through :func:`SetFamily.from_sets` or
+    :func:`family_from_json_obj`, which validate them, and leave through
+    ``members`` and the writers, which put them in canonical order:
     boxes sorted by (row, col), members sorted lexicographically.
     """
 
     def __init__(self, n: int, masks: Iterable[int]):
-        masks = sorted(masks)
-        if any(starmap(eq, pairwise(masks))):  # a set only if there are any
-            masks = sorted(set(masks))
         d = self.__dict__
-        d["n"], d["masks"] = n, tuple(masks)
+        d["n"], d["masks"] = n, frozenset(masks)
 
     def __repr__(self) -> str:
         # in hex: a decimal int past 4,300 digits raises ValueError
-        masks = ", ".join(map(hex, self.masks)) + ("," if len(self.masks) == 1 else "")
+        masks = ", ".join(map(hex, sorted(self.masks))) + ("," if len(self.masks) == 1 else "")
         return f"SetFamily(n={self.n}, masks=({masks}))"
 
     @staticmethod
@@ -79,9 +78,7 @@ class SetFamily(Frozen):
         # pack would alias a box off the grid, like (1, n + 1), onto one on it
         if not all(1 <= r <= self.n and 1 <= c <= self.n for (r, c) in boxes):
             return False
-        mask = pack(self.n, boxes)
-        i = bisect_left(self.masks, mask)
-        return i < len(self.masks) and self.masks[i] == mask
+        return pack(self.n, boxes) in self.masks
 
 
 def is_transversal(boxes: Iterable[Box], family: SetFamily) -> bool:
@@ -113,20 +110,21 @@ def minimalize(family: SetFamily) -> SetFamily:
 
 
 def transversal_dual(family: SetFamily) -> SetFamily:
-    """All inclusion-minimal transversals, canonically ordered, by
-    :func:`_mmcs`.  The empty family's dual holds just the empty set; a
-    family holding the empty set has no transversals."""
+    """All inclusion-minimal transversals, by :func:`_mmcs`.  The empty
+    family's dual holds just the empty set; a family holding the empty set
+    has no transversals."""
     return SetFamily(family.n, _mmcs(family.masks)[0])
 
 
-def _mmcs(members: tuple[int, ...]) -> tuple[list[int], list[int]]:
+def _mmcs(members: Iterable[int]) -> tuple[list[int], list[int]]:
     """Depth-first MMCS (Murakami and Uno, "Efficient algorithms for
     dualizing large-scale hypergraphs", Discrete Appl. Math. 2014) on an
     explicit stack: the minimal transversals of the members, and each
     non-minimal p | c for p a minimal transversal of the others that misses
     the member ``last`` and c a cell of ``last``.  The members are taken in
-    one order, by size and then as given; ``last`` is the last member of
-    that order.  A node holds the chosen cells, the cells still allowed,
+    one order, by size and then by mask, a tie rule of this search's own;
+    ``last``, the last member of that order, is the largest mask of the
+    largest size.  A node holds the chosen cells, the cells still allowed,
     the members not yet met (a bit set over that order) and, per chosen
     cell, its critical members: those the chosen cells meet in that cell
     alone.  A node branches on its first unmet member; the child for its
@@ -148,7 +146,7 @@ def _mmcs(members: tuple[int, ...]) -> tuple[list[int], list[int]]:
     then built per use), and takes them from the top bits, which survive
     on exactly the emptied lanes.  Both per-cell tables are keyed by bit index.
     """
-    order = sorted(members, key=int.bit_count)
+    order = sorted(sorted(members), key=int.bit_count)
     # per cell index: the members containing it, as a bit set over the order
     holders: dict[int, int] = {}
     for i, member in enumerate(order):
@@ -196,11 +194,11 @@ def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
     """The transversal dual of the family, and the non-minimal transversals
     that incremental Berge multiplication, taking members by size, would
     build in its final round and discard (a diagnostic, in no identity).
-    Equal sizes go in mask order, so the last member is the largest mask
-    of the largest size.  The final round extends each minimal
-    transversal p of the others that misses it by each of its cells c,
-    and discards the p | c not minimal for the family (none is minimal
-    for the others): the rejects of :func:`_mmcs`.
+    Equal sizes go in mask order, the tie rule of :func:`_mmcs`, so the
+    last member is the largest mask of the largest size.  The final round
+    extends each minimal transversal p of the others that misses it by
+    each of its cells c, and discards the p | c not minimal for the family
+    (none is minimal for the others): the rejects of :func:`_mmcs`.
     """
     dual, rejects = _mmcs(family.masks)
     return SetFamily(family.n, dual), SetFamily(family.n, rejects)
@@ -295,7 +293,7 @@ def _ordered_members(
     bisection of the rows finds the split.
     """
     n = family.n
-    at, rows = _sorted_rows(family.masks)
+    at, rows = _sorted_rows(tuple(family.masks))
     blob, width, columns = b"".join(rows), len(at), []
     for k, j in enumerate(at):
         names = [box(c // n + 1, c % n + 1) for c in range(8 * j, 8 * j + 8)]

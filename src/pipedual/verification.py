@@ -165,7 +165,7 @@ def _check_rank_antidiagonal(w: Permutation, rp: Lanes) -> CheckResult:
                     failures[mask] = (p, (lane & -lane).bit_length())
     if not failures:
         return CheckResult(True)
-    # the witness is the first offender in members order, not masks order
+    # the witness is the first offender in members order
     mask = min(failures, key=cells)
     return CheckResult(False, SetFamily(n, (mask, pack(n, [failures[mask]]))))
 
@@ -174,7 +174,7 @@ def _check_same(got: SetFamily, want: SetFamily) -> CheckResult:
     # the counterexample is the symmetric difference of the two families
     if got == want:
         return CheckResult(True)
-    return _result_from_offenders(want.n, set(got.masks) ^ set(want.masks))
+    return _result_from_offenders(want.n, got.masks ^ want.masks)
 
 
 def _check_duality(

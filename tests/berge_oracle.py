@@ -1,7 +1,8 @@
 """Incremental Berge multiplication: the reference dualizer for the tests.
 
 Independent of the MMCS search in ``pipedual.transversals``.  Members are
-multiplied in one at a time, smallest first; each round keeps the old
+multiplied in one at a time, smallest first and equal sizes by mask, an
+order sorted here, not read from the family; each round keeps the old
 transversals that meet the new member and the minimal ones among the
 extensions of the others.  A transversal T is minimal iff every t in T is
 the sole intersection of T with some member (its witness).
@@ -14,7 +15,7 @@ def berge_dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]
     """The transversal dual of the family, and the non-minimal transversals
     of the full family that the final multiplication round produced and
     discarded."""
-    members = sorted(family.masks, key=int.bit_count)
+    members = sorted(sorted(family.masks), key=int.bit_count)
     pool: set[int] = {0}
     # witness lookup: for each grid cell, the processed members containing it
     by_cell: dict[int, list[int]] = {}

@@ -107,7 +107,7 @@ class TestChecksPerLane:
     def test_enumerated_dreams_with_boundary_masks(self, n):
         rng = random.Random(40 + n)
         w = random_permutation(n, rng)
-        masks = list(enumerate_rp(w).masks)[:200] + edge_masks(n, rng, 10)
+        masks = sorted(enumerate_rp(w).masks)[:200] + edge_masks(n, rng, 10)
         rng.shuffle(masks)
         traces = [_tile_walk_trace(n, m) for m in masks]
         assert list(reduced_traces(n, masks)) == traces

@@ -38,7 +38,7 @@ FROZEN = {
     PipePair: ({"a": 1, "b": 3, "crossings": 2}, {"crossings": 1}),
     Antidiagonal: ({"boxes": ((1, 2), (2, 1))}, {"boxes": ((1, 1),)}),
     Polynomial: ({"terms": (((2, 1), 1), ((1,), 3))}, {"terms": ()}),
-    SetFamily: ({"n": 2, "masks": (1, 6)}, {"masks": (2,)}),
+    SetFamily: ({"n": 2, "masks": frozenset({1, 6})}, {"masks": frozenset({2})}),
 }
 MUTABLE = {
     CheckResult: ({"passed": False, "counterexample": _FAIL.counterexample}, {"passed": True}),

@@ -458,7 +458,7 @@ def _record_searches(monkeypatch):
     original = transversals._mmcs
 
     def recorded(members):
-        searches[tuple(members)] += 1
+        searches[frozenset(members)] += 1
         return original(members)
 
     monkeypatch.setattr(transversals, "_mmcs", recorded)
@@ -580,18 +580,18 @@ def corrupted_pairs(w, rng):
     n = w.n
     rp, ad = enumerate_rp(w), antidiagonal_family(w)
     cells = [1 << i for i in range(n * n)]
-    a = rng.choice(ad.masks)
+    a = rng.choice(sorted(ad.masks))
     outside = [c for c in cells if not c & a]
     x = rng.choice([c for c in cells if c & a])
-    dropped = rng.choice(rp.masks)
+    dropped = rng.choice(sorted(rp.masks))
     extra = next(
         e
         for e in iter(lambda: sum(rng.sample(cells, rng.randint(1, 3))), None)
         if e not in ad.masks
     )
     yield "drop_rp", SetFamily(n, set(rp.masks) - {dropped}), ad
-    yield "nonminimal_ad", rp, SetFamily(n, ad.masks + (a | rng.choice(outside),))
-    yield "extra_ad", rp, SetFamily(n, ad.masks + (extra,))
+    yield "nonminimal_ad", rp, SetFamily(n, ad.masks | {a | rng.choice(outside)})
+    yield "extra_ad", rp, SetFamily(n, ad.masks | {extra})
     moved = a ^ x | rng.choice(outside)
     yield "moved_cell", rp, SetFamily(n, set(ad.masks) - {a} | {moved})
 
