@@ -12,6 +12,7 @@ at Fulton's essential set of w, the antidiagonals of size
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import chain
 
 from .grid import Box, Frozen, cells
 from .permutations import Permutation, prefix_sets
@@ -122,8 +123,6 @@ def antidiagonal_family(w: Permutation) -> SetFamily:
     for p, q in essential_set(w):
         mask = sum(((1 << q) - 1) << r * n for r in range(p))
         rects.append((p, q, mask, 1 + (prefix[p - 1] & (1 << q) - 1).bit_count()))
-    union: set[int] = set()
-    for p, q, _, size in rects:
-        limits = tuple((m, s) for _, _, m, s in rects if s < size)
-        union.update(_chains(n, 1, p, q, size, 0, limits))
-    return SetFamily(n, union)
+    return SetFamily(n, chain.from_iterable(
+        _chains(n, 1, p, q, size, 0, tuple((m, s) for _, _, m, s in rects if s < size))
+        for p, q, _, size in rects))

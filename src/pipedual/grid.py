@@ -5,6 +5,7 @@ base classes of the package's value types."""
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import repeat
 
 Box = tuple[int, int]
 
@@ -99,11 +100,11 @@ class Lanes:
     """
 
     def __init__(self, n: int, masks: Iterable[int]):
-        self.n, self.masks, self.size = n, tuple(masks), n * n // 8 + 1
-        data = b"".join(m.to_bytes(self.size, "little") for m in self.masks)
-        one = b"\1".ljust(self.size, b"\0")
+        self.n, self.size = n, n * n // 8 + 1
+        data = b"".join(map(int.to_bytes, masks, repeat(self.size), repeat("little")))
+        self.count = len(data) // self.size
         self.packed = int.from_bytes(data, "little")
-        self.ones = int.from_bytes(one * len(self.masks), "little")
+        self.ones = int.from_bytes(b"\1".ljust(self.size, b"\0") * self.count, "little")
         self.top = self.ones << 8 * self.size - 1
 
     def nonzero(self, x: int) -> int:
@@ -113,9 +114,9 @@ class Lanes:
     def split(self, x: int) -> list[int]:
         """The lanes of x in mask order, read off one ``to_bytes``."""
         s = self.size
-        data = x.to_bytes(s * len(self.masks), "little")
+        data = x.to_bytes(s * self.count, "little")
         return [int.from_bytes(data[i:i + s], "little") for i in range(0, len(data), s)]
 
     def select(self, x: int) -> list[int]:
-        """The masks whose lanes of x are nonzero."""
-        return [m for m, lane in zip(self.masks, self.split(x)) if lane] if x else []
+        """The masks whose lanes of x are nonzero; a lane is its mask."""
+        return [m for m, lane in zip(self.split(self.packed), self.split(x)) if lane] if x else []

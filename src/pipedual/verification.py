@@ -152,37 +152,35 @@ def _nonminimal_stats(rejected: SetFamily) -> dict[str, int]:
 
 
 def _check_rank_antidiagonal(w: Permutation, rp: Lanes) -> CheckResult:
-    n = w.n
+    n, rows = w.n, prefix_sets(w)
     # rank row p as _antidiagonal_steps gives a row: bit q - 1 is set iff
     # rank(w, p, q) > rank(w, p, q - 1), i.e. q is one of w(1), ..., w(p);
     # one DP per row p runs on every dream at once
-    # each offending mask -> its first failing (p, q) in row-major order
-    failures: dict[int, tuple[int, int]] = {}
-    for p, steps in enumerate(prefix_sets(w), 1):
-        if diff := _antidiagonal_steps(n, rp.packed, p, rp.ones) ^ rp.ones * steps:
-            for mask, lane in zip(rp.masks, rp.split(diff)):
-                if lane and mask not in failures:
-                    failures[mask] = (p, (lane & -lane).bit_length())
-    if not failures:
+    bad = 0
+    for p, steps in enumerate(rows, 1):
+        bad |= rp.nonzero(_antidiagonal_steps(n, rp.packed, p, rp.ones) ^ rp.ones * steps)
+    if not bad:
         return CheckResult(True)
-    # the witness is the first offender in members order
-    mask = min(failures, key=cells)
-    return CheckResult(False, SetFamily(n, (mask, pack(n, [failures[mask]]))))
+    # the witness is the first offender in members order, with its first
+    # failing (p, q) in row-major order, recomputed on its mask alone
+    mask = min(rp.select(bad), key=cells)
+    for p, steps in enumerate(rows, 1):
+        if diff := _antidiagonal_steps(n, mask, p) ^ steps:
+            corner = pack(n, [(p, (diff & -diff).bit_length())])
+            return CheckResult(False, SetFamily(n, (mask, corner)))
 
 
 def _check_same(got: SetFamily, want: SetFamily) -> CheckResult:
     # the counterexample is the symmetric difference of the two families
-    if got == want:
-        return CheckResult(True)
     return _result_from_offenders(want.n, got.masks ^ want.masks)
 
 
 def _check_duality(
     rp: SetFamily, dual_ad: SetFamily, double_dual: CheckResult
 ) -> CheckResult:
-    # once dual(AD) == RP, dual(RP) = dual(dual(AD)) = min(AD) (see
-    # verify_permutation), so the double-dual check is the second half
-    return double_dual if dual_ad == rp else _check_same(dual_ad, rp)
+    # callers pass rp as dual_ad once the two are equal; then dual(RP) =
+    # dual(dual(AD)) = min(AD), so the double-dual check is the second half
+    return double_dual if dual_ad is rp else _check_same(dual_ad, rp)
 
 
 def _off_staircase_stats(ad: SetFamily) -> dict[str, int]:
@@ -198,7 +196,8 @@ def verify_theorem(w: Permutation) -> VerificationReport:
     rp = enumerate_rp(w)
     ad = antidiagonal_family(w)
     double_dual = _check_same(minimalize(ad), ad)
-    result = _check_duality(rp, transversal_dual(ad), double_dual)
+    dual_ad = transversal_dual(ad)
+    result = _check_duality(rp, rp if dual_ad == rp else dual_ad, double_dual)
     return VerificationReport(w, {CHECK_DUALITY: result}, _off_staircase_stats(ad))
 
 
@@ -326,14 +325,15 @@ def verify_permutation(w: Permutation) -> VerificationReport:
     it builds them and runs no minimality filter, so this check tests
     that cutting rule and fails if it lets a non-minimal chain through.
     The checks that read every dream run once per family on its lanes
-    (see :class:`grid.Lanes`), and RP's lanes serve dual(AD) when the two
-    are equal."""
+    (see :class:`grid.Lanes`); once dual(AD) == RP, RP's family and lanes
+    serve dual(AD) too, and MMCS's copy is freed before any check runs."""
     rp = enumerate_rp(w)
     ad = antidiagonal_family(w)
     dual_ad, rejected = dual_with_nonminimal(ad)
+    dual_ad = rp if dual_ad == rp else dual_ad
     double_dual = _check_same(minimalize(ad), ad)
     lanes = Lanes(w.n, rp.masks)
-    dual_lanes = lanes if dual_ad == rp else Lanes(w.n, dual_ad.masks)
+    dual_lanes = lanes if dual_ad is rp else Lanes(w.n, dual_ad.masks)
     checks = {
         CHECK_TRANSVERSALITY: _check_transversality(lanes, ad),
         CHECK_DUAL_REDUCEDNESS: _check_dual_reducedness(w, dual_lanes),

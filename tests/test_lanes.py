@@ -56,6 +56,18 @@ class TestLayout:
         ]
         assert lanes.select(lanes.packed) == [m for m in masks if m]
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 9])
+    def test_a_lane_is_its_mask(self, n):
+        # the lanes hold no list of masks: select reads them back from the
+        # packed lanes, the empty mask and box (n, n) alone included
+        masks = edge_masks(n, random.Random(50 + n))
+        lanes = Lanes(n, masks)
+        assert lanes.count == len(masks)
+        assert all(type(v) is int for v in vars(lanes).values())
+        assert lanes.select(lanes.top) == masks
+        assert lanes.select(lanes.top & -lanes.top) == [0]
+        assert lanes.select(lanes.top >> 8 * lanes.size) == masks[:-1]
+
     @pytest.mark.parametrize("n", SIZES)
     def test_empty_family(self, n):
         lanes = Lanes(n, [])

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +216,16 @@ def per_rectangle_rank_check(w, rp):
     return CheckResult(True)
 
 
+def first_failing_corner(w, member):
+    """The first rectangle (p, q), in row-major order, whose largest
+    crossing-free antidiagonal differs from rank(w, p, q), or None."""
+    rm, crosses = rank_matrix(w), frozenset(member)
+    rects = itertools.product(range(1, w.n + 1), repeat=2)
+    return next(
+        (r for r in rects if per_rectangle_max_elbow(crosses, *r) != rm.entry(*r)), None
+    )
+
+
 class TestRankWitness:
     """On corrupted families the check must name the same witness as the
     per-rectangle loop: the first failing member in ``members`` order and
@@ -246,6 +257,52 @@ class TestRankWitness:
                 assert result == expected
                 failures += not expected.passed
         assert failures >= 12
+
+    PASS = '{"pass":true,"counterexample":null}'
+    STATS = (
+        '"stats":{"nonminimal_transversals_seen":0,'
+        '"reduced_nonminimal_transversals":0,"antidiagonals_off_staircase":0}}'
+    )
+    # (w, the patched RP, each dream's first failing corner, the report of
+    # verify_permutation on it)
+    EDGES = {
+        # the one dream's only crossing is its first failing corner, so the
+        # witness, the dream and that corner, has one member
+        "one_member_witness": (
+            "12", [[(1, 1)]], [(1, 1)],
+            f'{{"w":[1,2],"checks":{{"transversality":{PASS},"dual_reducedness":{PASS},'
+            '"rank_antidiagonal":{"pass":false,"counterexample":{"n":2,"members":[[[1,1]]]}},'
+            f'"double_dual":{PASS},'
+            '"duality":{"pass":false,"counterexample":{"n":2,"members":[[],[[1,1]]]}}},'
+            + STATS,
+        ),
+        # both dreams fail; the first in members order fails first at row 3,
+        # the other already at row 1, and the witness is the first with its
+        # own corner (3, 1).  Found by a seeded search (random.Random(7),
+        # corrupted RP(w) on S_3 and S_4), then pinned
+        "first_offender_fails_later": (
+            "2413", [[(1, 1), (1, 3), (2, 1), (3, 1)], [(2, 1), (2, 2)]], [(3, 1), (1, 1)],
+            '{"w":[2,4,1,3],"checks":{"transversality":{"pass":false,"counterexample":'
+            '{"n":4,"members":[[[2,1],[2,2]]]}},'
+            f'"dual_reducedness":{PASS},'
+            '"rank_antidiagonal":{"pass":false,"counterexample":'
+            '{"n":4,"members":[[[1,1],[1,3],[2,1],[3,1]],[[3,1]]]}},'
+            f'"double_dual":{PASS},'
+            '"duality":{"pass":false,"counterexample":{"n":4,"members":[[[1,1],[1,3],[2,1]],'
+            '[[1,1],[1,3],[2,1],[3,1]],[[1,1],[2,1],[2,2]],[[2,1],[2,2]]]}}},' + STATS,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(EDGES))
+    def test_witness_edges_are_pinned(self, monkeypatch, case):
+        word, sets, corners, want = self.EDGES[case]
+        w, family = parse_permutation(word), SetFamily.from_sets(len(word), sets)
+        # sets are listed in members order
+        assert [first_failing_corner(w, m) for m in family.members] == corners
+        result = verification._check_rank_antidiagonal(w, lanes_of(family))
+        assert result == per_rectangle_rank_check(w, family)
+        monkeypatch.setattr(verification, "enumerate_rp", lambda v: family)
+        assert report_to_json(verify_permutation(w)) == want
 
 
 class TestRankAntidiagonalLaw:
@@ -506,6 +563,47 @@ class TestSinglePass:
         # the same one search of AD, whether RP is intact or not
         assert searches == {ad.masks: 1}
         assert report.checks[CHECK_DUALITY].passed == (not drop)
+
+    def test_rp_is_dual_ad_once_they_agree(self, monkeypatch):
+        # the duality check and the dual-reducedness lanes are handed RP
+        # itself, family and lanes, not MMCS's equal copy
+        w = parse_permutation("13254")
+        rp = enumerate_rp(w)
+        seen = {}
+        for name in ("_check_duality", "_check_dual_reducedness", "_check_rank_antidiagonal"):
+
+            def spy(*args, name=name, original=getattr(verification, name)):
+                seen[name] = args
+                return original(*args)
+
+            monkeypatch.setattr(verification, name, spy)
+        monkeypatch.setattr(verification, "enumerate_rp", lambda v: rp)
+        assert verify_permutation(w).passed
+        got_rp, got_dual_ad, _ = seen["_check_duality"]
+        assert got_rp is rp and got_dual_ad is rp
+        lanes = seen["_check_rank_antidiagonal"][1]
+        assert seen["_check_dual_reducedness"][1] is lanes
+        short = SetFamily.from_sets(rp.n, rp.members[1:])
+        monkeypatch.setattr(verification, "enumerate_rp", lambda v: short)
+        assert not verify_permutation(w).passed
+        got_rp, got_dual_ad, _ = seen["_check_duality"]
+        assert got_rp is short and got_dual_ad == rp
+        lanes = seen["_check_rank_antidiagonal"][1]
+        assert seen["_check_dual_reducedness"][1] is not lanes
+
+    def test_one_copy_peak_memory(self):
+        # 11,564 dreams: RP is held once, with no mask list beside its
+        # lanes; with MMCS's copy of dual(AD) and a list of RP's masks in
+        # the lanes kept too, the peak reads 4.27 MiB
+        w = parse_permutation("317529846")
+        tracemalloc.start()
+        try:
+            report = verify_permutation(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 3.8 * 2**20
 
     def test_matches_the_public_checks_over_s5(self):
         for w in all_permutations(5):
