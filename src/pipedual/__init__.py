@@ -24,8 +24,6 @@ from .permutations import (
 )
 from .pipedreams import (
     PipeDream,
-    PipePair,
-    crossing_counts,
     enumerate_rp,
     enumerate_rp_bruteforce,
     is_reduced,
@@ -72,7 +70,6 @@ __all__ = [
     "FamilyFormatError",
     "Permutation",
     "PipeDream",
-    "PipePair",
     "Polynomial",
     "RankMatrix",
     "SetFamily",
@@ -82,7 +79,6 @@ __all__ = [
     "antidiagonal_family",
     "antidiagonals_in_rectangle",
     "bruhat_geq",
-    "crossing_counts",
     "enumerate_rp",
     "enumerate_rp_bruteforce",
     "family_from_json",

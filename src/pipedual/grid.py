@@ -5,7 +5,6 @@ base classes of the package's value types."""
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import repeat
 
 Box = tuple[int, int]
 
@@ -101,7 +100,10 @@ class Lanes:
 
     def __init__(self, n: int, masks: Iterable[int]):
         self.n, self.size = n, n * n // 8 + 1
-        data = b"".join(map(int.to_bytes, masks, repeat(self.size), repeat("little")))
+        # one growing buffer: a join would hold every mask's bytes at once
+        data = bytearray()
+        for mask in masks:
+            data += mask.to_bytes(self.size, "little")
         self.count = len(data) // self.size
         self.packed = int.from_bytes(data, "little")
         self.ones = int.from_bytes(b"\1".ljust(self.size, b"\0") * self.count, "little")

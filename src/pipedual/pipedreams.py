@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterable, Iterator
-from functools import total_ordering
 
 from .grid import Box, Frozen, Lanes, staircase_boxes, staircase_mask
 from .permutations import Permutation, length
@@ -40,84 +39,29 @@ class PipeDream(Frozen):
         self.__dict__.update(n=n, crosses=crosses)
 
 
-@total_ordering
-class PipePair(Frozen):
-    """An unordered pair of pipes (labeled by entry row, a < b) together
-    with the number of tiles where they cross; pairs order by (a, b,
-    crossings)."""
-
-    def __init__(self, a: int, b: int, crossings: int):
-        if not a < b:
-            raise ValueError(f"pipe pair not normalized: {a}, {b}")
-        self.__dict__.update(a=a, b=b, crossings=crossings)
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.crossings) < (other.a, other.b, other.crossings)
-
-
-def _walk(dream: PipeDream):
-    """Yield (pipe, box, heading) for every tile each pipe passes through;
-    heading is 'E' when the pipe enters the box from the west and 'N' when
-    it enters from the south.  Ends each pipe at its north-edge exit column."""
-    crosses = dream.crosses
-    for pipe in range(1, dream.n + 1):
-        r, c = pipe, 1
-        heading = "E"
-        while r >= 1:
-            yield pipe, (r, c), heading
-            if (r, c) in crosses:
-                if heading == "E":
-                    c += 1
-                else:
-                    r -= 1
-            else:
-                if heading == "E":
-                    heading = "N"
-                    r -= 1
-                else:
-                    heading = "E"
-                    c += 1
-        yield pipe, (0, c), "X"
-
-
 def trace(dream: PipeDream) -> Permutation:
     """The permutation w sending each entry row i to the north-edge exit
-    column w(i) of its pipe."""
-    images = [0] * dream.n
-    for pipe, (r, c), heading in _walk(dream):
-        if heading == "X":
-            images[pipe - 1] = c
+    column w(i) of its pipe: the tile walk.  A pipe heading east keeps its
+    heading through a crossing and turns at an elbow, as does one heading
+    north, so its heading flips exactly at the elbows."""
+    images = []
+    for pipe in range(1, dream.n + 1):
+        r, c, east = pipe, 1, True
+        while r >= 1:
+            east = ((r, c) in dream.crosses) == east
+            if east:
+                c += 1
+            else:
+                r -= 1
+        images.append(c)
     return Permutation(tuple(images))
 
 
-def crossing_counts(dream: PipeDream) -> frozenset[PipePair]:
-    """Crossing multiplicities for every pair of pipes meeting at least once.
-
-    Each crossing tile is traversed straight by exactly one west-east pipe
-    and one south-north pipe; those two pipes cross there.
-    """
-    horizontal: dict[Box, int] = {}
-    vertical: dict[Box, int] = {}
-    for pipe, box, heading in _walk(dream):
-        if box in dream.crosses:
-            if heading == "E":
-                horizontal[box] = pipe
-            elif heading == "N":
-                vertical[box] = pipe
-    counts: dict[tuple[int, int], int] = {}
-    for box in dream.crosses:
-        a, b = horizontal[box], vertical[box]
-        key = (a, b) if a < b else (b, a)
-        counts[key] = counts.get(key, 0) + 1
-    return frozenset(PipePair(a, b, m) for (a, b), m in counts.items())
-
-
 def is_reduced(dream: PipeDream) -> bool:
-    """True iff no pair of pipes crosses more than once; equivalently the
-    number of crossing tiles equals the inversion count of the trace."""
-    return all(pair.crossings <= 1 for pair in crossing_counts(dream))
+    """True iff the number of crossing tiles equals the inversion count of
+    the trace; equivalently no pair of pipes crosses more than once
+    (Bergeron and Billey's rc-graphs)."""
+    return len(dream.crosses) == length(trace(dream))
 
 
 def fold_rows(w: Permutation, start, add: Callable[[dict, tuple, object, int], None]):
@@ -237,8 +181,9 @@ def reduced_traces(n: int, masks: Iterable[int]) -> Iterator[tuple[int, ...] | N
 
 def enumerate_rp_bruteforce(w: Permutation) -> SetFamily:
     """Independent oracle for :func:`enumerate_rp`: enumerate every subset
-    of the staircase with length(w) boxes and keep those that trace to w
-    and are reduced.  Only for n <= BRUTE_FORCE_MAX_N."""
+    of the staircase with length(w) boxes and keep those whose tile walk
+    traces to w.  Each one kept has length(w) crossings, so it is reduced
+    by the rule of :func:`is_reduced`.  Only for n <= BRUTE_FORCE_MAX_N."""
     if w.n > BRUTE_FORCE_MAX_N:
         raise ValueError(
             f"brute-force enumeration is capped at n <= {BRUTE_FORCE_MAX_N}"
@@ -246,8 +191,7 @@ def enumerate_rp_bruteforce(w: Permutation) -> SetFamily:
     boxes = staircase_boxes(w.n)
     found = []
     for subset in itertools.combinations(boxes, length(w)):
-        dream = PipeDream(w.n, frozenset(subset))
-        if trace(dream) == w and is_reduced(dream):
+        if trace(PipeDream(w.n, frozenset(subset))) == w:
             found.append(subset)
     return SetFamily.from_sets(w.n, found)
 

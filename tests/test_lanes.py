@@ -5,13 +5,14 @@ against one mask at a time, at the lane boundaries: n = 1, n = 8 (whose
 identity."""
 
 import random
+import tracemalloc
 
 import pytest
 from test_pipedreams import _tile_walk_trace
 
 from pipedual import verification
 from pipedual.grid import Lanes
-from pipedual.permutations import Permutation, bruhat_geq, identity
+from pipedual.permutations import Permutation, bruhat_geq, identity, parse_permutation
 from pipedual.pipedreams import enumerate_rp, reduced_traces, trace_lanes
 from pipedual.transversals import SetFamily
 from pipedual.verification import CheckResult, _antidiagonal_steps, verify_permutation
@@ -67,6 +68,19 @@ class TestLayout:
         assert lanes.select(lanes.top) == masks
         assert lanes.select(lanes.top & -lanes.top) == [0]
         assert lanes.select(lanes.top >> 8 * lanes.size) == masks[:-1]
+
+    def test_packing_peak(self):
+        # 74,256 lanes of 11 bytes: filling one buffer peaks at 3.4 MiB,
+        # where joining one bytes object per mask peaked at 10.2 MiB
+        masks = enumerate_rp(parse_permutation("124938765")).masks
+        tracemalloc.start()
+        try:
+            lanes = Lanes(9, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lanes.count == len(masks) == 74256
+        assert peak < 5 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("n", SIZES)
     def test_empty_family(self, n):

@@ -17,8 +17,6 @@ from pipedual.permutations import (
 )
 from pipedual.pipedreams import (
     PipeDream,
-    PipePair,
-    crossing_counts,
     enumerate_rp,
     enumerate_rp_bruteforce,
     is_reduced,
@@ -79,33 +77,6 @@ class TestTrace:
         assert w.n == d.n
 
 
-class TestCrossingCounts:
-    def test_empty(self):
-        assert crossing_counts(PipeDream(3, frozenset())) == frozenset()
-
-    def test_disjoint_single_crossings(self):
-        d = PipeDream(4, frozenset({(1, 1), (1, 3)}))
-        assert crossing_counts(d) == frozenset(
-            {PipePair(1, 2, 1), PipePair(3, 4, 1)}
-        )
-
-    def test_double_crossing_witness(self):
-        # pipes 2 and 3 cross at (2,1), separate, and cross again at (1,2)
-        d = PipeDream(3, frozenset({(1, 2), (2, 1)}))
-        assert crossing_counts(d) == frozenset({PipePair(2, 3, 2)})
-        assert trace(d) == identity(3)
-
-    def test_full_staircase_all_pairs_once(self):
-        d = PipeDream(3, frozenset(staircase_boxes(3)))
-        assert crossing_counts(d) == frozenset(
-            {PipePair(1, 2, 1), PipePair(1, 3, 1), PipePair(2, 3, 1)}
-        )
-
-    @given(dream_st())
-    def test_total_crossings_equal_tile_count(self, d):
-        assert sum(p.crossings for p in crossing_counts(d)) == len(d.crosses)
-
-
 class TestIsReduced:
     def test_empty(self):
         assert is_reduced(PipeDream(4, frozenset()))
@@ -116,10 +87,18 @@ class TestIsReduced:
     def test_larger_non_reduced_witness(self):
         d = PipeDream(4, frozenset({(1, 2), (2, 1), (3, 1)}))
         assert trace(d) == parse_permutation("1243")
-        assert crossing_counts(d) == frozenset(
-            {PipePair(2, 4, 2), PipePair(3, 4, 1)}
-        )
         assert not is_reduced(d)
+
+    def test_double_crossing_witness(self):
+        # pipes 2 and 3 cross at (2,1), separate, and cross again at (1,2)
+        d = PipeDream(3, frozenset({(1, 2), (2, 1)}))
+        assert trace(d) == identity(3)
+        assert not is_reduced(d)
+
+    def test_full_staircase_is_reduced(self):
+        d = PipeDream(3, frozenset(staircase_boxes(3)))
+        assert trace(d) == parse_permutation("321")
+        assert is_reduced(d)
 
     def test_every_enumerated_dream_is_reduced(self):
         for member in enumerate_rp(parse_permutation("1432")).members:
@@ -213,6 +192,11 @@ class TestEnumerate:
     def test_matches_brute_force_exhaustively(self, n):
         for w in all_permutations(n):
             assert enumerate_rp(w) == enumerate_rp_bruteforce(w)
+
+    def test_matches_brute_force_on_seeded_s6(self):
+        # S_6 is the largest size the brute force takes
+        for w in _seeded_draws(6, [6], 20):
+            assert enumerate_rp(w) == enumerate_rp_bruteforce(w), w
 
     def test_members_trace_back_with_minimal_size(self):
         w = parse_permutation("35142")
