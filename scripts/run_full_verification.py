@@ -17,7 +17,7 @@ import sys
 import time
 from math import factorial
 
-from pipedual.cli import _budget_seconds, _positive_int
+from pipedual.cli import _budget_seconds, _job_count, _positive_int
 from pipedual.verification import iter_verify
 
 STATS = (
@@ -32,7 +32,7 @@ def main() -> int:
     parser.add_argument("--max-n", type=_positive_int, default=6)
     parser.add_argument("--budget", type=_budget_seconds, default=600.0,
                         help="per-group time budget in seconds")
-    parser.add_argument("--jobs", type=_positive_int, default=1)
+    parser.add_argument("--jobs", type=_job_count, default=1)
     args = parser.parse_args()
 
     header = (

@@ -8,12 +8,13 @@ Subcommands:
   schubert PERM  Schubert polynomial of a permutation
   verify         exhaustive law checks over all of S_n
 
-The first four are rows of one table, ``_QUERIES``.  Only payload goes
-to stdout; diagnostics go to stderr.  Exit statuses: 0 success, 1
-verification failure, 2 argument or permutation parse failure, 3
-malformed family JSON, 4 verification budget exhausted with all
-completed permutations passing, 141 stdout closed by its reader (the
-status of a process killed by SIGPIPE).
+The first four are rows of one table, ``_QUERIES``.  Each command
+imports only the modules it runs.  Only payload goes to stdout;
+diagnostics go to stderr.  Exit statuses: 0 success, 1 verification
+failure, 2 argument or permutation parse failure, 3 malformed family
+JSON, 4 verification budget exhausted with all completed permutations
+passing, 141 stdout closed by its reader (the status of a process killed
+by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ import sys
 import time
 from collections.abc import Sequence
 
-from .antidiagonals import antidiagonal_family
+import pipedual
+
 from .permutations import Permutation, parse_permutation
-from .pipedreams import PipeDream, enumerate_rp, render_ascii
-from .schubert import polynomial_to_json, polynomial_to_str, schubert_polynomial
 from .transversals import (
     FamilyFormatError,
     SetFamily,
@@ -39,7 +39,6 @@ from .transversals import (
     family_to_text,
     transversal_dual,
 )
-from .verification import iter_verify, report_to_json
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -72,7 +71,7 @@ def _family_of(token: str) -> SetFamily:
     except ValueError:
         w = None
     if w is not None:
-        return antidiagonal_family(w)
+        return pipedual.antidiagonal_family(w)
     try:
         if not os.path.isfile(token):
             raise FileNotFoundError(token)
@@ -87,22 +86,25 @@ def _family_of(token: str) -> SetFamily:
 
 
 def _family_to_ascii(family: SetFamily) -> str:
-    dreams = (PipeDream(family.n, frozenset(m)) for m in family.members)
-    return "\n\n".join(map(render_ascii, dreams))
+    dreams = (pipedual.PipeDream(family.n, frozenset(m)) for m in family.members)
+    return "\n\n".join(map(pipedual.render_ascii, dreams))
 
 
 _FAMILY = {"text": family_to_text, "json": family_to_json}
 
 # name: (positional, build, {--format choice: writer}, help); every
-# --format defaults to "text"
+# --format defaults to "text".  A row reaches what it runs through the
+# package's names, each of which imports its module on first use, so a
+# command loads only the modules it runs
 _QUERIES = {
     "rp": (
-        "perm", lambda perm: enumerate_rp(_parse_perm_arg(perm)),
+        "perm", lambda perm: pipedual.enumerate_rp(_parse_perm_arg(perm)),
         {**_FAMILY, "ascii": _family_to_ascii},
         "enumerate the reduced pipe dreams of PERM",
     ),
     "ad": (
-        "perm", lambda perm: antidiagonal_family(_parse_perm_arg(perm)), _FAMILY,
+        "perm", lambda perm: pipedual.antidiagonal_family(_parse_perm_arg(perm)),
+        _FAMILY,
         "the minimal antidiagonal family of PERM",
     ),
     "dual": (
@@ -111,8 +113,11 @@ _QUERIES = {
         "or any family JSON file",
     ),
     "schubert": (
-        "perm", lambda perm: schubert_polynomial(_parse_perm_arg(perm)),
-        {"text": polynomial_to_str, "json": polynomial_to_json},
+        "perm", lambda perm: pipedual.schubert_polynomial(_parse_perm_arg(perm)),
+        {
+            "text": lambda poly: pipedual.polynomial_to_str(poly),
+            "json": lambda poly: pipedual.polynomial_to_json(poly),
+        },
         "the Schubert polynomial of PERM",
     ),
 }
@@ -129,6 +134,9 @@ def _run_query(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here: no other command runs the verification pass
+    from .verification import iter_verify, report_to_json
+
     # each report is written as it arrives; none is kept
     start = time.monotonic()
     checked = passed = 0
@@ -163,6 +171,17 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
 
 
+def _job_count(text: str) -> int:
+    # a pool starts all of its workers at once, so a count past the ceiling
+    # is refused here, before any worker exists
+    value = _positive_int(text)
+    if value > pipedual.MAX_JOBS:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {pipedual.MAX_JOBS}, got {text!r}"
+        )
+    return value
+
+
 def _budget_seconds(text: str) -> float:
     # ASCII only, as in _positive_int: float() reads the same numerals
     try:
@@ -181,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # one parser per $PD_JOBS value, never modified: argparse sends the string
-# default through _positive_int at parse time, so a bad value fails as a
-# bad --jobs, for verify only
+# default through _job_count at parse time, so a bad value fails as a bad
+# --jobs, for verify only
 @functools.lru_cache(maxsize=1)
 def _parser(jobs: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -210,9 +229,9 @@ def _parser(jobs: str) -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--jobs",
-        type=_positive_int,
+        type=_job_count,
         default=jobs,
-        help="worker processes (default $PD_JOBS or 1)",
+        help=f"worker processes, at most {pipedual.MAX_JOBS} (default $PD_JOBS or 1)",
     )
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(func=_cmd_verify)

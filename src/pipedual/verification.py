@@ -23,6 +23,7 @@ from collections.abc import Collection, Iterable, Iterator
 from itertools import islice, permutations
 from math import factorial
 
+from . import MAX_JOBS
 from .antidiagonals import antidiagonal_family
 from .grid import Lanes, Record, cells, pack, staircase_mask
 from .permutations import (
@@ -373,9 +374,12 @@ def iter_verify(
     With jobs > 1 the permutations go to worker processes in chunks of
     CHUNK_SIZE, at most 2 * jobs of them in flight.  Chunks are yielded in
     submission order, and the sweep stops after the first chunk that comes
-    back short.  Closing the generator early shuts the pool down."""
+    back short.  Closing the generator early shuts the pool down.  Raises
+    ValueError, before any worker exists, if jobs exceeds MAX_JOBS."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if jobs > MAX_JOBS:
+        raise ValueError(f"jobs must be at most {MAX_JOBS}, got {jobs}")
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     if jobs <= 1:
         yield from _verify_each(all_permutations(n), deadline)

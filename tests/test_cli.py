@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import functools
 import hashlib
 import itertools
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pipedual import cli
+from pipedual import MAX_JOBS, cli
 from pipedual.cli import (
     EXIT_BAD_JSON,
     EXIT_BUDGET,
@@ -385,6 +386,49 @@ class TestVerify:
         assert captured.out == ""
         assert "--jobs" in captured.err
 
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("value", ["257", "5000"])
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_jobs_over_the_ceiling_exits_2_before_any_pool(
+        self, capsys, monkeypatch, no_pool, source, value
+    ):
+        # a pool forks all of its workers at the first submit, so the
+        # ceiling must stop the run before one is built
+        argv = ["verify", "--n", "9"]
+        if source == "flag":
+            argv += ["--jobs", value]
+        else:
+            monkeypatch.setenv("PD_JOBS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--jobs: must be at most {MAX_JOBS}" in captured.err
+
+    def test_jobs_ceiling_is_accepted(self, monkeypatch):
+        # parsing only: no sweep runs with this many workers
+        ceiling = str(MAX_JOBS)
+        args = build_parser().parse_args(["verify", "--n", "9", "--jobs", ceiling])
+        assert args.jobs == MAX_JOBS
+        monkeypatch.setenv("PD_JOBS", ceiling)
+        parser = build_parser()
+        assert parser.parse_args(["verify", "--n", "9"]).jobs == MAX_JOBS
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        # joined again: argparse wraps the help to the terminal's width
+        assert f"at most {ceiling}" in " ".join(sub.choices["verify"].format_help().split())
+
+    def test_iter_verify_refuses_jobs_over_the_ceiling(self, no_pool):
+        assert MAX_JOBS == 256
+        with pytest.raises(ValueError, match="at most 256"):
+            next(iter_verify(9, jobs=MAX_JOBS + 1))
+
     def test_bad_jobs_environment_only_matters_to_verify(self, capsys, monkeypatch):
         monkeypatch.setenv("PD_JOBS", "abc")
         code, out, _ = run_cli(capsys, "rp", "21")
@@ -400,7 +444,7 @@ class TestVerify:
             seen.append(jobs)
             return iter_verify(n, budget_seconds=budget_seconds)
 
-        monkeypatch.setattr("pipedual.cli.iter_verify", spy)
+        monkeypatch.setattr("pipedual.verification.iter_verify", spy)
         for value in ("3", "2", ""):
             monkeypatch.setenv("PD_JOBS", value)
             code, out, _ = run_cli(capsys, "verify", "--n", "2")
@@ -613,7 +657,7 @@ class TestArguments:
             "verify": [
                 ("--n", "_positive_int", None, None, True),
                 ("--budget", "_budget_seconds", None, 600.0, False),
-                ("--jobs", "_positive_int", None, "1", False),
+                ("--jobs", "_job_count", None, "1", False),
                 family,
             ],
         }

@@ -57,7 +57,9 @@ class TestRunFullVerification:
             # n, checked, passed, time, then the three stats columns
             assert row[:3] + row[4:] == [str(x) for x in counts]
 
-    @pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--budget", "nan")])
+    @pytest.mark.parametrize(
+        "flag,value", [("--jobs", "0"), ("--jobs", "257"), ("--budget", "nan")]
+    )
     def test_rejects_bad_flag_value(self, flag, value):
         proc = run_script("run_full_verification.py", "--max-n", "3", flag, value)
         assert proc.returncode == 2
@@ -120,13 +122,44 @@ class TestBenchSweep:
         assert proc.stderr.splitlines()[-1] == run["stderr_tail"]
 
     @pytest.mark.parametrize(
-        "flag,value", [("--n", "0"), ("--jobs", "0"), ("--budget", "nan")]
+        "flag,value",
+        [("--n", "0"), ("--jobs", "0"), ("--jobs", "257"), ("--budget", "nan")],
     )
     def test_rejects_bad_flag_value(self, tmp_path, flag, value):
         out = tmp_path / "bench.json"
         proc = run_script(
             "bench_sweep.py", "--n", "3", "--label", "bad", "--out", str(out),
             flag, value,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert not out.exists()
+
+
+class TestBenchColdStart:
+    def test_record(self, tmp_path):
+        out = tmp_path / "bench.json"
+        out.write_text(json.dumps({"note": "kept"}))
+        for label in ("first", "second", "first"):
+            proc = run_script(
+                "bench_cold_start.py", "--repeat", "1", "--label", label, "--out", str(out)
+            )
+            assert proc.returncode == 0, proc.stderr
+        data = json.loads(out.read_text())
+        assert data["note"] == "kept"
+        assert [run["label"] for run in data["runs"]] == ["second", "first"]
+        for run in data["runs"]:
+            assert list(run["commands"]) == [
+                "rp 2143", "ad 2143", "dual 2143", "schubert 2143", "verify --n 3 --jobs 1"
+            ]
+            for times in run["commands"].values():
+                assert times["cold_ms"] > 0 and times["cached_ms"] > 0
+            assert run["repeat"] == 1 and run["commit"]
+
+    def test_rejects_bad_repeat(self, tmp_path):
+        out = tmp_path / "bench.json"
+        proc = run_script(
+            "bench_cold_start.py", "--repeat", "0", "--label", "bad", "--out", str(out)
         )
         assert proc.returncode == 2
         assert proc.stdout == ""

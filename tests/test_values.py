@@ -167,17 +167,67 @@ class TestSetFamilyRepr:
         assert repr(family) == f"SetFamily(n=300, masks=({1 << 89_999:#x},))"
 
 
-def test_import_loads_no_heavy_module():
+def _source_env() -> dict:
     env = dict(os.environ)
     src = str(HERE.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_import_loads_no_heavy_module():
     # without site (-S) too: a .pth file that preloads a module hides it
     for flags in ([], ["-S"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, str(HERE / "import_guard.py")],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
-        assert (flags, proc.returncode, proc.stderr) == (flags, 0, "")
+        for mode in ([], ["--commands"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, str(HERE / "import_guard.py"), *mode],
+                capture_output=True,
+                text=True,
+                env=_source_env(),
+                timeout=120,
+            )
+            assert (flags, mode, proc.returncode, proc.stderr) == (flags, mode, 0, "")
+
+
+# the public names, as they were when each was imported eagerly
+PUBLIC = [
+    "Antidiagonal", "Box", "FamilyFormatError", "Permutation", "PipeDream",
+    "Polynomial", "RankMatrix", "SetFamily", "VerificationReport",
+    "VerificationRun", "all_permutations", "antidiagonal_family",
+    "antidiagonals_in_rectangle", "bruhat_geq", "enumerate_rp",
+    "enumerate_rp_bruteforce", "family_from_json", "family_to_json", "identity",
+    "is_minimal_transversal", "is_reduced", "is_transversal", "iter_verify",
+    "length", "max_elbow_antidiagonal", "minimalize", "parse_permutation",
+    "polynomial_to_json", "polynomial_to_str", "rank", "rank_matrix",
+    "render_ascii", "reversal", "schubert_polynomial", "specialize_all_ones",
+    "staircase_boxes", "trace", "transversal_dual", "verify_bruhat_oracle",
+    "verify_claim1", "verify_claim2", "verify_double_dual", "verify_permutation",
+    "verify_range", "verify_rank_antidiagonal_law", "verify_theorem",
+]
+
+
+def test_public_names_resolve_lazily():
+    # a fresh interpreter, so that no test has imported a module already
+    code = """
+import pipedual
+assert pipedual.__all__ == PUBLIC, pipedual.__all__
+listed = dir(pipedual)  # before any name has resolved
+assert set(PUBLIC) <= set(listed), set(PUBLIC) - set(listed)
+star = {}
+exec("from pipedual import *", star)
+assert all(star[name] is getattr(pipedual, name) for name in PUBLIC)
+assert pipedual.enumerate_rp is sys.modules["pipedual.pipedreams"].enumerate_rp
+try:
+    pipedual.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("pipedual.no_such_name resolved")
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\nPUBLIC = {PUBLIC!r}\n{code}"],
+        capture_output=True,
+        text=True,
+        env=_source_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -424,7 +424,8 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize(
         "n,jobs,workers",
-        [(1, 2, 1), (3, 8, 1), (5, 2, 2), (5, 8, 4), (7, 2, 2), (7, 500, 158)],
+        # at the MAX_JOBS ceiling, S_7's 158 chunks still bound the pool
+        [(1, 2, 1), (3, 8, 1), (5, 2, 2), (5, 8, 4), (7, 2, 2), (7, 256, 158)],
     )
     def test_pool_never_outnumbers_the_chunks(self, monkeypatch, n, jobs, workers):
         # the spy records the pool size and starts no worker
