@@ -17,9 +17,9 @@ two ways:
 The package is copied without its ``__pycache__`` into a temporary
 directory first, so neither figure depends on what earlier runs left in
 the checkout.  Rounds go through every command in turn, so drift on the
-machine spreads over all of them.  The record replaces any record with
-the same label in the output file, so a before/after pair is two runs of
-this script on one machine:
+machine spreads over all of them.  The record is printed and merged into
+the output file by ``bench_sweep.write_record``, so a before/after pair is
+two runs of this script on one machine:
 
     python scripts/bench_cold_start.py --checkout ../parent --label before \\
         --out BENCH_lazy_commands.json
@@ -27,17 +27,14 @@ this script on one machine:
 """
 
 import argparse
-import json
 import os
-import platform
 import shutil
 import subprocess
 import sys
 import tempfile
-from datetime import datetime, timezone
 from pathlib import Path
 
-from bench_sweep import commit_of
+from bench_sweep import write_record
 from pipedual.cli import _positive_int
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -118,20 +115,8 @@ def main() -> int:
     args = parser.parse_args()
 
     checkout = args.checkout.resolve()
-    record = {
-        "label": args.label,
-        "commit": commit_of(checkout),
-        "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
-                   f"Python {platform.python_version()}",
-        "repeat": args.repeat,
-        "commands": cold_start(checkout, args.repeat),
-    }
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    runs = [run for run in data.get("runs", []) if run["label"] != args.label]
-    data["runs"] = runs + [record]
-    args.out.write_text(json.dumps(data, indent=2) + "\n")
-    print(json.dumps(record))
+    commands = cold_start(checkout, args.repeat)
+    write_record(args.out, args.label, checkout, {"repeat": args.repeat, "commands": commands})
     return 0
 
 

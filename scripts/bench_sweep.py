@@ -7,8 +7,9 @@ peak RSS of the largest of those processes (``resource.getrusage`` of
 the children), the size and sha256 of stdout, the last line of stderr
 (where a budgeted sweep says how many permutations it checked), the exit
 status and the checkout's commit; the child's stderr is passed on as it
-comes.  The record replaces any record with the same label in the output
-file, so a before/after pair is two runs of this script on one machine:
+comes.  The record is printed and merged into the output file by
+:func:`write_record`, so a before/after pair is two runs of this script on
+one machine:
 
     python scripts/bench_sweep.py --n 8 --jobs 2 --budget 100000 \\
         --checkout ../parent --label before --out BENCH_s8.json
@@ -46,6 +47,29 @@ def commit_of(checkout: Path) -> str:
         text=True,
     ).stdout.strip()
     return head.stdout.strip() + ("-dirty" if dirty else "")
+
+
+def write_record(out: Path, label: str, checkout: Path, fields: dict) -> None:
+    """Print the record of one run as a JSON line and merge it into the
+    JSON object in ``out``, a new file when there is none.  The record is
+    the label, the checkout's commit, the date, the machine and then
+    ``fields``.  It replaces any record with the same label in the
+    object's ``runs`` list, which it starts when the object has none, and
+    every other key of the object is kept.
+    """
+    record = {
+        "label": label,
+        "commit": commit_of(checkout),
+        "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
+                   f"Python {platform.python_version()}",
+        **fields,
+    }
+    # printed first, so a file that cannot be merged still leaves the run on stdout
+    print(json.dumps(record))
+    data = json.loads(out.read_text()) if out.exists() else {}
+    data["runs"] = [run for run in data.get("runs", []) if run["label"] != label] + [record]
+    out.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def sweep(checkout: Path, n: int, jobs: int, budget: float | None) -> dict:
@@ -108,18 +132,7 @@ def main() -> int:
     args = parser.parse_args()
 
     checkout = args.checkout.resolve()
-    record = {
-        "label": args.label,
-        "commit": commit_of(checkout),
-        "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
-                   f"Python {platform.python_version()}",
-        **sweep(checkout, args.n, args.jobs, args.budget),
-    }
-    runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
-    runs = [run for run in runs if run["label"] != args.label] + [record]
-    args.out.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
-    print(json.dumps(record))
+    write_record(args.out, args.label, checkout, sweep(checkout, args.n, args.jobs, args.budget))
     return 0
 
 

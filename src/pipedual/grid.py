@@ -63,9 +63,12 @@ def staircase_mask(n: int) -> int:
 
 
 def pack(n: int, boxes: Iterable[Box]) -> int:
-    """The mask of a box set: box (r, c) is bit (r - 1) * n + (c - 1)."""
+    """The mask of a box set: box (r, c) is bit (r - 1) * n + (c - 1).
+    A box off the grid, which would alias one on it, raises ValueError."""
     mask = 0
     for (r, c) in boxes:
+        if not (1 <= r <= n and 1 <= c <= n):
+            raise ValueError(f"box ({r}, {c}) outside the {n} x {n} grid")
         mask |= 1 << ((r - 1) * n + (c - 1))
     return mask
 

@@ -49,10 +49,6 @@ class SetFamily(Frozen):
 
     @staticmethod
     def from_sets(n: int, sets: Iterable[Iterable[Box]]) -> SetFamily:
-        sets = [tuple(s) for s in sets]
-        for (r, c) in (box for s in sets for box in s):
-            if not (1 <= r <= n and 1 <= c <= n):
-                raise ValueError(f"box ({r}, {c}) outside the {n} x {n} grid")
         return SetFamily(n, (pack(n, s) for s in sets))
 
     @staticmethod
@@ -74,11 +70,10 @@ class SetFamily(Frozen):
         return iter(self.members)
 
     def __contains__(self, boxes) -> bool:
-        boxes = tuple(boxes)
-        # pack would alias a box off the grid, like (1, n + 1), onto one on it
-        if not all(1 <= r <= self.n and 1 <= c <= self.n for (r, c) in boxes):
+        try:
+            return pack(self.n, boxes) in self.masks
+        except ValueError:  # a box off the grid is in no member
             return False
-        return pack(self.n, boxes) in self.masks
 
 
 def is_transversal(boxes: Iterable[Box], family: SetFamily) -> bool:

@@ -88,19 +88,72 @@ class TestSummarizeFamilies:
         assert "--max-n" in proc.stderr
 
 
+HEADER = ["label", "commit", "date", "machine"]
+
+
+@pytest.fixture
+def write_record(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from bench_sweep import write_record
+
+    return write_record
+
+
+class TestWriteRecord:
+    def labels(self, out):
+        return [run["label"] for run in json.loads(out.read_text())["runs"]]
+
+    def test_keeps_other_keys_and_runs(self, write_record, tmp_path):
+        out = tmp_path / "bench.json"
+        old = {"label": "old", "wall_s": 2.0}
+        out.write_text(json.dumps({"what": "kept", "runs": [old]}))
+        write_record(out, "new", tmp_path, {"wall_s": 1.0})
+        data = json.loads(out.read_text())
+        assert list(data) == ["what", "runs"] and data["what"] == "kept"
+        assert data["runs"][0] == old and self.labels(out) == ["old", "new"]
+
+    def test_starts_runs(self, write_record, tmp_path):
+        out = tmp_path / "bench.json"
+        out.write_text(json.dumps({"what": "kept"}))
+        write_record(out, "new", tmp_path, {"wall_s": 1.0})
+        assert json.loads(out.read_text())["what"] == "kept"
+        assert self.labels(out) == ["new"]
+
+    def test_same_label_replaces(self, write_record, tmp_path):
+        out = tmp_path / "bench.json"
+        for label, wall in (("first", 1.0), ("second", 2.0), ("first", 3.0)):
+            write_record(out, label, tmp_path, {"wall_s": wall})
+        runs = json.loads(out.read_text())["runs"]
+        assert [(run["label"], run["wall_s"]) for run in runs] == [("second", 2.0), ("first", 3.0)]
+
+    def test_creates_missing_file(self, write_record, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        write_record(out, "new", tmp_path, {"wall_s": 1.0})
+        (run,) = json.loads(out.read_text())["runs"]
+        assert list(run) == HEADER + ["wall_s"] and run["wall_s"] == 1.0
+        assert json.loads(capsys.readouterr().out) == run
+
+
 class TestBenchSweep:
     def test_small_sweep_record(self, tmp_path):
         out = tmp_path / "bench.json"
+        out.write_text(json.dumps({"what": "kept"}))
         for label in ("first", "second", "first"):
             proc = run_script(
                 "bench_sweep.py", "--n", "4", "--jobs", "2", "--label", label,
                 "--out", str(out),
             )
             assert proc.returncode == 0, proc.stderr
-        runs = json.loads(out.read_text())["runs"]
+        data = json.loads(out.read_text())
+        assert data["what"] == "kept"
+        runs = data["runs"]
         assert [run["label"] for run in runs] == ["second", "first"]
         payload = (reports_to_json(verify_range(4).reports) + "\n").encode()
         for run in runs:
+            assert list(run) == HEADER + [
+                "command", "exit_status", "wall_s", "cpu_s", "peak_rss_mb",
+                "stdout_bytes", "stdout_sha256", "stderr_tail",
+            ]
             assert run["command"] == "pipedual verify --n 4 --jobs 2 --format json"
             assert run["exit_status"] == 0
             assert run["stdout_bytes"] == len(payload)
@@ -149,6 +202,7 @@ class TestBenchColdStart:
         assert data["note"] == "kept"
         assert [run["label"] for run in data["runs"]] == ["second", "first"]
         for run in data["runs"]:
+            assert list(run) == HEADER + ["repeat", "commands"]
             assert list(run["commands"]) == [
                 "rp 2143", "ad 2143", "dual 2143", "schubert 2143", "verify --n 3 --jobs 1"
             ]

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from pipedual import transversals
 from pipedual.antidiagonals import antidiagonal_family
 from pipedual.cli import _family_to_ascii
-from pipedual.grid import cells
+from pipedual.grid import cells, pack
 from pipedual.permutations import parse_permutation
 from pipedual.pipedreams import PipeDream, enumerate_rp, render_ascii
 from pipedual.transversals import (
@@ -57,8 +57,14 @@ class TestSetFamily:
         assert family.members == (((1, 1),), ((1, 2), (2, 1)))
 
     def test_rejects_out_of_grid(self):
-        with pytest.raises(ValueError):
-            SetFamily.from_sets(2, [[(3, 1)]])
+        with pytest.raises(ValueError, match=r"^box \(3, 1\) outside the 2 x 2 grid$"):
+            SetFamily.from_sets(2, [[(1, 1)], [(3, 1)]])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_pack_rejects_off_grid_box(self, n):
+        for r, c in [(0, 1), (1, 0), (n + 1, 1), (1, n + 1)]:
+            with pytest.raises(ValueError, match=rf"^box \({r}, {c}\) outside the {n} x {n} grid$"):
+                pack(n, [(1, 1), (r, c)])
 
     def test_container_protocol(self):
         family = SetFamily.from_sets(3, [[(1, 1)], [(2, 2)]])
@@ -70,7 +76,7 @@ class TestSetFamily:
         # (1, 4) packs to the bit of (2, 1) on the 3 x 3 grid
         family = SetFamily.from_sets(3, [[(2, 1)], [(1, 1), (2, 1)]])
         assert [(2, 1)] in family
-        assert [(1, 4)] not in family
+        assert [(1, 4)] not in family and ((1, 4),) not in family
         assert [(1, 1), (1, 4)] not in family
         assert [(0, 1)] not in family
 
