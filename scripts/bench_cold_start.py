@@ -34,7 +34,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_sweep import write_record
+from bench_sweep import read_out, write_record
 from pipedual.cli import _positive_int
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,6 +114,7 @@ def main() -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
+    read_out(args.out)
     checkout = args.checkout.resolve()
     commands = cold_start(checkout, args.repeat)
     write_record(args.out, args.label, checkout, {"repeat": args.repeat, "commands": commands})

@@ -49,13 +49,29 @@ def commit_of(checkout: Path) -> str:
     return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
+def read_out(out: Path) -> dict:
+    """The JSON object in ``out``, or {} when there is no such file.  Any
+    other content exits with status 2 and a one-line message, leaving the
+    file as it was; each script calls this before its run, so a bad file
+    costs no run.
+    """
+    try:
+        data = json.loads(out.read_text()) if out.exists() else {}
+    except (OSError, ValueError) as exc:
+        data = exc
+    if not isinstance(data, dict):
+        print(f"error: --out {out} does not hold a JSON object", file=sys.stderr)
+        raise SystemExit(2)
+    return data
+
+
 def write_record(out: Path, label: str, checkout: Path, fields: dict) -> None:
     """Print the record of one run as a JSON line and merge it into the
-    JSON object in ``out``, a new file when there is none.  The record is
-    the label, the checkout's commit, the date, the machine and then
-    ``fields``.  It replaces any record with the same label in the
-    object's ``runs`` list, which it starts when the object has none, and
-    every other key of the object is kept.
+    JSON object in ``out`` (see :func:`read_out`), a new file when there
+    is none.  The record is the label, the checkout's commit, the date,
+    the machine and then ``fields``.  It replaces any record with the same
+    label in the object's ``runs`` list, which it starts when the object
+    has none, and every other key of the object is kept.
     """
     record = {
         "label": label,
@@ -67,7 +83,7 @@ def write_record(out: Path, label: str, checkout: Path, fields: dict) -> None:
     }
     # printed first, so a file that cannot be merged still leaves the run on stdout
     print(json.dumps(record))
-    data = json.loads(out.read_text()) if out.exists() else {}
+    data = read_out(out)
     data["runs"] = [run for run in data.get("runs", []) if run["label"] != label] + [record]
     out.write_text(json.dumps(data, indent=2) + "\n")
 
@@ -131,6 +147,7 @@ def main() -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
+    read_out(args.out)
     checkout = args.checkout.resolve()
     write_record(args.out, args.label, checkout, sweep(checkout, args.n, args.jobs, args.budget))
     return 0

@@ -73,9 +73,19 @@ def pack(n: int, boxes: Iterable[Box]) -> int:
     return mask
 
 
+# BYTE_BITS[v]: the set bits of byte v, ascending; _REVERSED[v]: v with its
+# bits reversed.  Byte v + 2^b, for v < 2^b, is byte v plus bit b.
+BYTE_BITS, _REVERSED = [()], b"\0"
+for _b in range(8):
+    BYTE_BITS += [bits + (_b,) for bits in BYTE_BITS]
+    _REVERSED += bytes(v | 0x80 >> _b for v in _REVERSED)
+del _b
+
+
 def cells(mask: int) -> list[int]:
     """The ascending bit indices of a mask, (r - 1) * n + c - 1 for each box
     (r, c) of :func:`pack`; they compare as sorted box tuples, a prefix first.
+    Linear in the mask's bytes plus its cells: ``find`` skips zero bytes.
 
     >>> [(i // 3 + 1, i % 3 + 1) for i in cells(pack(3, [(2, 1), (1, 3)]))]
     [(1, 3), (2, 1)]
@@ -83,12 +93,18 @@ def cells(mask: int) -> list[int]:
     []
     >>> cells(1 << 80 | 1 << 64 | 1)
     [0, 64, 80]
+    >>> BYTE_BITS[0], BYTE_BITS[0b10100110], BYTE_BITS[255]
+    ((), (1, 2, 5, 7), (0, 1, 2, 3, 4, 5, 6, 7))
+    >>> all(BYTE_BITS[v] == tuple(b for b in range(8) if v >> b & 1) for v in range(256))
+    True
     """
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    data = mask.to_bytes(mask.bit_length() // 8 + 1, "little")
+    nonzero = data.translate(b"\0" + b"\xff" * 255)  # 0xFF where data has a cell
+    out, j = [], nonzero.find(255)
+    while j >= 0:
+        for b in BYTE_BITS[data[j]]:
+            out.append(8 * j + b)
+        j = nonzero.find(255, j + 1)
     return out
 
 

@@ -18,7 +18,7 @@ from functools import reduce
 from itertools import chain, compress, repeat
 from operator import or_
 
-from .grid import Box, Frozen, cells, pack
+from .grid import BYTE_BITS, Box, Frozen, _REVERSED, cells, pack
 
 _PLANE_BYTES = 1 << 20  # bound on the mask bytes written at once for the byte plane
 _LANE_TABLE_BYTES = 1 << 22  # bound on the lane copies one MMCS search keeps
@@ -154,7 +154,7 @@ def _mmcs(members: Iterable[int]) -> tuple[list[int], list[int]]:
         return int.from_bytes((everyone ^ holders[c]).to_bytes(size, "little") * lanes, "little")
     cap = min(len(holders), len(order), _LANE_TABLE_BYTES // (size * len(holders) or 1))
     keep = {c: cut(c, cap) for c in holders}
-    last_cells = cells(order[-1]) if order else []
+    last_cells = [c for c, held in holders.items() if held & lastbit]
     found, rejects = [] if order else [0], []  # no members: just the empty set
     stack = [(0, reduce(or_, order, 0), everyone, 0, 0)]
     while stack:
@@ -199,19 +199,6 @@ def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
     return SetFamily(family.n, dual), SetFamily(family.n, rejects)
 
 
-# byte v with its bits in reverse order (see the doctest of _sorted_rows)
-_REVERSED = bytes.fromhex(
-    "008040c020a060e0109050d030b070f0088848c828a868e8189858d838b878f8"
-    "048444c424a464e4149454d434b474f40c8c4ccc2cac6cec1c9c5cdc3cbc7cfc"
-    "028242c222a262e2129252d232b272f20a8a4aca2aaa6aea1a9a5ada3aba7afa"
-    "068646c626a666e6169656d636b676f60e8e4ece2eae6eee1e9e5ede3ebe7efe"
-    "018141c121a161e1119151d131b171f1098949c929a969e9199959d939b979f9"
-    "058545c525a565e5159555d535b575f50d8d4dcd2dad6ded1d9d5ddd3dbd7dfd"
-    "038343c323a363e3139353d333b373f30b8b4bcb2bab6beb1b9b5bdb3bbb7bfb"
-    "078747c727a767e7179757d737b777f70f8f4fcf2faf6fef1f9f5fdf3fbf7fff"
-)
-
-
 def _sorted_rows(masks: tuple[int, ...]) -> tuple[list[int], list[bytes]]:
     """The byte plane of the masks in canonical order: the byte positions
     that some mask touches, ascending, and one row per mask, sorted, of
@@ -219,7 +206,7 @@ def _sorted_rows(masks: tuple[int, ...]) -> tuple[list[int], list[bytes]]:
 
     The key of a mask m is ``m ^ ((1 << m.bit_length()) - 1)``, the
     complement of m below its own top cell, with each byte's bits reversed
-    (``_REVERSED``) so that keys compare from the lowest cell.  Rows then
+    (``grid._REVERSED``) so that keys compare from the lowest cell.  Rows then
     sort as the members' cell lists do.  Let a' be a with every cell above
     a's top; the key of a is the complement of a'.  If a' != b', the member
     whose primed set holds the lowest cell x where they differ comes
@@ -295,11 +282,7 @@ def _ordered_members(
         col, split = blob[width + k::2 * width], bisect_left(rows, b"\xff" * k)
         fragments = []
         for cut, part in ((0, col[:split]), (skip, col[split:])):
-            table = [None] * 256
-            for v in set(part):
-                # byte i of the selector is nonzero iff bit i of v is set
-                picks = (v * 0x0101010101010101 & 0x8040201008040201).to_bytes(8, "little")
-                table[v] = join(compress(names, picks))[cut:]
+            table = {v: join([names[b] for b in BYTE_BITS[v]])[cut:] for v in set(part)}
             fragments += map(table.__getitem__, part)
         columns.append(fragments)
     return len(rows), columns

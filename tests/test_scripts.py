@@ -134,6 +134,25 @@ class TestWriteRecord:
         assert json.loads(capsys.readouterr().out) == run
 
 
+@pytest.mark.parametrize(
+    "script,argv",
+    [
+        # a sweep that ran would add its budget line to stderr
+        ("bench_sweep.py", ["--n", "8", "--budget", "0.1"]),
+        ("bench_cold_start.py", ["--repeat", "1"]),
+    ],
+)
+@pytest.mark.parametrize("content", ["[1]", "not json"])
+def test_out_file_must_hold_an_object(tmp_path, script, argv, content):
+    out = tmp_path / "bench.json"
+    out.write_text(content)
+    proc = run_script(script, *argv, "--label", "bad", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: --out {out} does not hold a JSON object\n"
+    assert out.read_text() == content
+
+
 class TestBenchSweep:
     def test_small_sweep_record(self, tmp_path):
         out = tmp_path / "bench.json"

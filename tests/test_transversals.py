@@ -1,14 +1,16 @@
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
+from bit_oracle import bit_indices
 from hypothesis import example, given, strategies as st
 
 from pipedual import transversals
 from pipedual.antidiagonals import antidiagonal_family
 from pipedual.cli import _family_to_ascii
-from pipedual.grid import cells, pack
+from pipedual.grid import pack
 from pipedual.permutations import parse_permutation
 from pipedual.pipedreams import PipeDream, enumerate_rp, render_ascii
 from pipedual.transversals import (
@@ -192,7 +194,7 @@ class TestMemberOrder:
         # the order as it was first defined: members sorted by cell lists
         order = [
             tuple((i // n + 1, i % n + 1) for i in m)
-            for m in sorted(map(cells, family.masks))
+            for m in sorted(map(bit_indices, family.masks))
         ]
         assert family.members == tuple(order)
         assert json.loads(family_to_json(family))["members"] == [
@@ -220,7 +222,9 @@ class TestMemberOrder:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        order = [[(i // n + 1, i % n + 1) for i in m] for m in sorted(map(cells, family.masks))]
+        order = [
+            [(i // n + 1, i % n + 1) for i in m] for m in sorted(map(bit_indices, family.masks))
+        ]
         assert text == "\n".join("{" + ", ".join(f"({r},{c})" for r, c in m) + "}" for m in order)
         assert peak < 16 * 2**20
 
@@ -236,7 +240,9 @@ class TestMemberOrder:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        order = [[[i // n + 1, i % n + 1] for i in m] for m in sorted(map(cells, family.masks))]
+        order = [
+            [[i // n + 1, i % n + 1] for i in m] for m in sorted(map(bit_indices, family.masks))
+        ]
         assert json.loads(text)["members"] == order
         assert peak < 8 * 2**20
 
@@ -258,7 +264,8 @@ class TestMemberOrder:
         neighbours = [first, second, first | second << 2, chain[-1] << 1 | first]
         family = SetFamily(n, chain + neighbours)
         order = [
-            tuple((i // n + 1, i % n + 1) for i in m) for m in sorted(map(cells, family.masks))
+            tuple((i // n + 1, i % n + 1) for i in m)
+            for m in sorted(map(bit_indices, family.masks))
         ]
         assert family.members == tuple(order)
         assert json.loads(family_to_json(family))["members"] == [list(map(list, m)) for m in order]
@@ -337,6 +344,17 @@ class TestTransversalDual:
     def test_worked_example(self):
         w = parse_permutation("2143")
         assert transversal_dual(antidiagonal_family(w)) == enumerate_rp(w)
+
+    def test_wide_member_dualizes_in_under_two_seconds(self):
+        # {row 4096 and (1, 1)} and {(1, 1)} on the 4096 x 4096 grid, built
+        # without pack: MMCS decodes the wide member's 4,097 cells, which
+        # takes seconds if each cell costs the mask's 2 MiB width
+        n = 4096
+        row = int.from_bytes(bytes((n - 1) * n // 8) + b"\xff" * (n // 8), "little")
+        start = time.perf_counter()
+        dual = transversal_dual(SetFamily(n, [row | 1, 1]))
+        assert time.perf_counter() - start < 2
+        assert dual == SetFamily(n, [1])
 
     @given(antichain_st())
     def test_double_dual_fixes_antichains(self, family):
