@@ -74,11 +74,14 @@ def pack(n: int, boxes: Iterable[Box]) -> int:
 
 
 # BYTE_BITS[v]: the set bits of byte v, ascending; _REVERSED[v]: v with its
-# bits reversed.  Byte v + 2^b, for v < 2^b, is byte v plus bit b.
-BYTE_BITS, _REVERSED = [()], b"\0"
+# bits reversed; _SMEAR[v]: v's top bit and every bit below it; _NONZERO[v]:
+# 0xFF if v else 0.  Byte v + 2^b, for v < 2^b, is byte v plus bit b.
+BYTE_BITS, _REVERSED, _SMEAR, _NONZERO = [()], b"\0", b"\0", b"\0"
 for _b in range(8):
     BYTE_BITS += [bits + (_b,) for bits in BYTE_BITS]
     _REVERSED += bytes(v | 0x80 >> _b for v in _REVERSED)
+    _SMEAR += bytes([(2 << _b) - 1]) * len(_SMEAR)
+    _NONZERO += b"\xff" * len(_NONZERO)
 del _b
 
 
@@ -99,7 +102,7 @@ def cells(mask: int) -> list[int]:
     True
     """
     data = mask.to_bytes(mask.bit_length() // 8 + 1, "little")
-    nonzero = data.translate(b"\0" + b"\xff" * 255)  # 0xFF where data has a cell
+    nonzero = data.translate(_NONZERO)  # 0xFF where data has a cell
     out, j = [], nonzero.find(255)
     while j >= 0:
         for b in BYTE_BITS[data[j]]:

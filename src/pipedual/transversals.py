@@ -15,10 +15,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from functools import reduce
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import or_
 
-from .grid import BYTE_BITS, Box, Frozen, _REVERSED, cells, pack
+from .grid import BYTE_BITS, Box, Frozen, _NONZERO, _REVERSED, _SMEAR, cells, pack
 
 _PLANE_BYTES = 1 << 20  # bound on the mask bytes written at once for the byte plane
 _LANE_TABLE_BYTES = 1 << 22  # bound on the lane copies one MMCS search keeps
@@ -229,6 +229,8 @@ def _sorted_rows(masks: tuple[int, ...]) -> tuple[list[int], list[bytes]]:
 
     >>> all(_REVERSED[v] == int(f"{v:08b}"[::-1], 2) for v in range(256))
     True
+    >>> all(_SMEAR[v] + 1 == 1 << v.bit_length() and _NONZERO[v] == (v and 255) for v in range(256))
+    True
     >>> _sorted_rows((0b10, 0b11, 0b1))  # {1}, {0, 1}, {0}: the last two tie
     ([0], [b'\\x00\\x01', b'\\x00\\x03', b'\\x80\\x02'])
     """
@@ -236,27 +238,22 @@ def _sorted_rows(masks: tuple[int, ...]) -> tuple[list[int], list[bytes]]:
 
     union = reduce(or_, masks, 0)
     span = union.bit_length() // 8 + 1
-    at = list(compress(range(span), union.to_bytes(span, "little")))
+    at = sorted({c // 8 for c in cells(union)})  # the byte positions it touches
     cols = [bytearray() for _ in at]
     step = max(1, _PLANE_BYTES // span)
     for i in range(0, len(masks), step):
         blob = b"".join(map(int.to_bytes, masks[i:i + step], repeat(span), repeat("little")))
         for col, j in zip(cols, at):
             col += blob[j::span]
-    # smear[v] = (1 << v.bit_length()) - 1, v's top bit and every bit below
-    smear = (
-        b"\0\1\3\3" + b"\7" * 4 + b"\x0f" * 8 + b"\x1f" * 16
-        + b"?" * 32 + b"\x7f" * 64 + b"\xff" * 128
-    )
     count, width = len(masks), len(at)
     rows, later = bytearray(2 * width * count), 0  # later: 0xFF where a later position is nonzero
     for k in reversed(range(width)):
         col = cols[k]
-        ones = later | int.from_bytes(col.translate(smear), "little")
+        ones = later | int.from_bytes(col.translate(_SMEAR), "little")
         key = (int.from_bytes(col, "little") ^ ones).to_bytes(count, "little")
         rows[k::2 * width] = key.translate(_REVERSED)
         rows[width + k::2 * width] = col
-        later |= int.from_bytes(col.translate(b"\0" + b"\xff" * 255), "little")
+        later |= int.from_bytes(col.translate(_NONZERO), "little")
     return at, sorted(struct.Struct(f"{2 * width}s" * count).unpack(rows))
 
 

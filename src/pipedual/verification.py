@@ -179,9 +179,9 @@ def _check_same(got: SetFamily, want: SetFamily) -> CheckResult:
 def _check_duality(
     rp: SetFamily, dual_ad: SetFamily, double_dual: CheckResult
 ) -> CheckResult:
-    # callers pass rp as dual_ad once the two are equal; then dual(RP) =
-    # dual(dual(AD)) = min(AD), so the double-dual check is the second half
-    return double_dual if dual_ad is rp else _check_same(dual_ad, rp)
+    # once dual(AD) == RP, dual(RP) = dual(dual(AD)) = min(AD), so the
+    # double-dual check is the second half
+    return double_dual if dual_ad == rp else _check_same(dual_ad, rp)
 
 
 def _off_staircase_stats(ad: SetFamily) -> dict[str, int]:
@@ -197,8 +197,7 @@ def verify_theorem(w: Permutation) -> VerificationReport:
     rp = enumerate_rp(w)
     ad = antidiagonal_family(w)
     double_dual = _check_same(minimalize(ad), ad)
-    dual_ad = transversal_dual(ad)
-    result = _check_duality(rp, rp if dual_ad == rp else dual_ad, double_dual)
+    result = _check_duality(rp, transversal_dual(ad), double_dual)
     return VerificationReport(w, {CHECK_DUALITY: result}, _off_staircase_stats(ad))
 
 
@@ -325,22 +324,23 @@ def verify_permutation(w: Permutation) -> VerificationReport:
     with min(AD).  :func:`antidiagonal_family` cuts non-minimal chains as
     it builds them and runs no minimality filter, so this check tests
     that cutting rule and fails if it lets a non-minimal chain through.
-    The checks that read every dream run once per family on its lanes
-    (see :class:`grid.Lanes`); once dual(AD) == RP, RP's family and lanes
-    serve dual(AD) too, and MMCS's copy is freed before any check runs."""
+    Duality is decided first, on the two families; then RP is packed into
+    lanes (:class:`grid.Lanes`), shared with dual(AD) unless the two
+    differ, and both families are dropped before the lane checks run."""
     rp = enumerate_rp(w)
     ad = antidiagonal_family(w)
     dual_ad, rejected = dual_with_nonminimal(ad)
-    dual_ad = rp if dual_ad == rp else dual_ad
     double_dual = _check_same(minimalize(ad), ad)
+    duality = _check_duality(rp, dual_ad, double_dual)
     lanes = Lanes(w.n, rp.masks)
-    dual_lanes = lanes if dual_ad is rp else Lanes(w.n, dual_ad.masks)
+    dual_lanes = lanes if dual_ad == rp else Lanes(w.n, dual_ad.masks)
+    del rp, dual_ad
     checks = {
         CHECK_TRANSVERSALITY: _check_transversality(lanes, ad),
         CHECK_DUAL_REDUCEDNESS: _check_dual_reducedness(w, dual_lanes),
         CHECK_RANK_ANTIDIAGONAL: _check_rank_antidiagonal(w, lanes),
         CHECK_DOUBLE_DUAL: double_dual,
-        CHECK_DUALITY: _check_duality(rp, dual_ad, double_dual),
+        CHECK_DUALITY: duality,
     }
     return VerificationReport(
         w, checks, {**_nonminimal_stats(rejected), **_off_staircase_stats(ad)}

@@ -566,12 +566,18 @@ class TestSinglePass:
         assert report.checks[CHECK_DUALITY].passed == (not drop)
 
     def test_rp_is_dual_ad_once_they_agree(self, monkeypatch):
-        # the duality check and the dual-reducedness lanes are handed RP
-        # itself, family and lanes, not MMCS's equal copy
+        # the duality check reads RP and MMCS's equal dual(AD); then one set
+        # of lanes serves all three lane checks, and only a dual(AD) that
+        # differs from RP is packed into lanes of its own
         w = parse_permutation("13254")
         rp = enumerate_rp(w)
         seen = {}
-        for name in ("_check_duality", "_check_dual_reducedness", "_check_rank_antidiagonal"):
+        for name in (
+            "_check_duality",
+            "_check_transversality",
+            "_check_dual_reducedness",
+            "_check_rank_antidiagonal",
+        ):
 
             def spy(*args, name=name, original=getattr(verification, name)):
                 seen[name] = args
@@ -581,21 +587,24 @@ class TestSinglePass:
         monkeypatch.setattr(verification, "enumerate_rp", lambda v: rp)
         assert verify_permutation(w).passed
         got_rp, got_dual_ad, _ = seen["_check_duality"]
-        assert got_rp is rp and got_dual_ad is rp
-        lanes = seen["_check_rank_antidiagonal"][1]
+        assert got_rp is rp and got_dual_ad == rp
+        lanes = seen["_check_transversality"][0]
         assert seen["_check_dual_reducedness"][1] is lanes
+        assert seen["_check_rank_antidiagonal"][1] is lanes
         short = SetFamily.from_sets(rp.n, rp.members[1:])
         monkeypatch.setattr(verification, "enumerate_rp", lambda v: short)
         assert not verify_permutation(w).passed
         got_rp, got_dual_ad, _ = seen["_check_duality"]
         assert got_rp is short and got_dual_ad == rp
-        lanes = seen["_check_rank_antidiagonal"][1]
-        assert seen["_check_dual_reducedness"][1] is not lanes
+        lanes = seen["_check_transversality"][0]
+        assert seen["_check_rank_antidiagonal"][1] is lanes
+        own = seen["_check_dual_reducedness"][1]
+        assert own is not lanes and sorted(own.split(own.packed)) == sorted(rp.masks)
 
     def test_one_copy_peak_memory(self):
-        # 11,564 dreams: RP is held once, with no mask list beside its
-        # lanes; with MMCS's copy of dual(AD) and a list of RP's masks in
-        # the lanes kept too, the peak reads 4.27 MiB
+        # 11,564 dreams: the lane checks hold RP's lanes and AD, and RP's
+        # family is dropped before they run; with it kept through them,
+        # the peak reads 3.33 MiB
         w = parse_permutation("317529846")
         tracemalloc.start()
         try:
@@ -604,7 +613,7 @@ class TestSinglePass:
         finally:
             tracemalloc.stop()
         assert report.passed
-        assert peak < 3.8 * 2**20
+        assert peak < 2.8 * 2**20
 
     def test_matches_the_public_checks_over_s5(self):
         for w in all_permutations(5):
