@@ -83,12 +83,11 @@ def essential_set(w: Permutation) -> tuple[Box, ...]:
     ((2, 3), (3, 2))
     """
     # diagram row p: the columns left of w(p) whose one-entry lies below p
-    rows = [((1 << j - 1) - 1) & ~s for j, s in zip(w.images, prefix_sets(w))]
-    return tuple(
-        (p, i + 1)
-        for p, (row, below) in enumerate(zip(rows, rows[1:] + [0]), 1)
-        for i in cells(row & ~below & ~(row >> 1))
-    )
+    n, rows = w.n, [((1 << j - 1) - 1) & ~s for j, s in zip(w.images, prefix_sets(w))]
+    # every row's essential boxes at their grid.pack bits, decoded in one call
+    mask = sum((row & ~below & ~(row >> 1)) << p * n
+               for p, (row, below) in enumerate(zip(rows, rows[1:] + [0])))
+    return tuple((i // n + 1, i % n + 1) for i in cells(mask))
 
 
 def antidiagonal_family(w: Permutation) -> SetFamily:

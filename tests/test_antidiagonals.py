@@ -25,7 +25,9 @@ from pipedual.transversals import SetFamily, minimalize
 
 class TestAntidiagonalType:
     def test_accepts_strict_northeast_chain(self):
-        Antidiagonal(((1, 3), (2, 2), (3, 1)))
+        boxes = ((1, 3), (2, 2), (3, 1))
+        a = Antidiagonal(boxes)
+        assert len(a) == 3 and tuple(a) == boxes
 
     @pytest.mark.parametrize(
         "boxes",

@@ -270,6 +270,22 @@ class TestDual:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"n": 2, "members": {}}', '"members" must be an array'),
+            ('{"n": 2, "members": [3]}', "each member must be an array of boxes"),
+        ],
+        ids=["members_object", "member_number"],
+    )
+    def test_members_not_arrays_exit_3(self, capsys, tmp_path, text, message):
+        path = tmp_path / "family.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "dual", str(path))
+        assert code == EXIT_BAD_JSON
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestSchubert:
     def test_text(self, capsys):
@@ -366,6 +382,8 @@ class TestVerify:
             ("--budget", "\u0663"),
             ("--budget", "1_2"),
             ("--budget", "\u0661"),
+            # float() raises here, where the cases above return a number
+            ("--budget", "abc"),
         ],
     )
     def test_rejects_bad_flag_value(self, capsys, flag, value):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
-from rp_column_oracle import column_enumerate_rp
+from rp_ladder_oracle import ladder_enumerate_rp
 
 from pipedual.grid import pack, staircase_boxes, staircase_mask
 from pipedual.permutations import (
@@ -188,15 +188,18 @@ class TestEnumerate:
         family = enumerate_rp(reversal(n))
         assert family.members == (tuple(sorted(staircase_boxes(n))),)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    # the ladder-move oracle of TestColumnOracle is checked on the same inputs
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_brute_force_exhaustively(self, n):
         for w in all_permutations(n):
-            assert enumerate_rp(w) == enumerate_rp_bruteforce(w)
+            brute = enumerate_rp_bruteforce(w)
+            assert enumerate_rp(w) == brute and ladder_enumerate_rp(w) == brute, w
 
     def test_matches_brute_force_on_seeded_s6(self):
         # S_6 is the largest size the brute force takes
         for w in _seeded_draws(6, [6], 20):
-            assert enumerate_rp(w) == enumerate_rp_bruteforce(w), w
+            brute = enumerate_rp_bruteforce(w)
+            assert enumerate_rp(w) == brute and ladder_enumerate_rp(w) == brute, w
 
     def test_members_trace_back_with_minimal_size(self):
         w = parse_permutation("35142")
@@ -228,32 +231,35 @@ def _seeded_draws(seed, sizes, count):
 
 
 class TestColumnOracle:
-    """The row-by-row construction against the column-order search in
-    ``rp_column_oracle.py``, and against the slot reading of
-    :func:`reduced_traces`."""
+    """The row-by-row construction against the ladder-move search of
+    ``rp_ladder_oracle.py`` (Bergeron and Billey 1993), which shares no
+    slot model with it, and against the slot reading of
+    :func:`reduced_traces`.  TestEnumerate checks the search itself against
+    the brute-force enumerator on all of S_1 to S_5 and 20 seeded S_6
+    draws."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_exhaustive(self, n):
         for w in all_permutations(n):
-            assert enumerate_rp(w) == column_enumerate_rp(w), w
+            assert enumerate_rp(w) == ladder_enumerate_rp(w), w
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_seeded_draws(self, n):
         for w in _seeded_draws(n, [n], 20):
-            assert enumerate_rp(w) == column_enumerate_rp(w), w
+            assert enumerate_rp(w) == ladder_enumerate_rp(w), w
 
     def test_large_family(self):
         w = parse_permutation("317529846")
         rp = enumerate_rp(w)
         assert len(rp) == 11564
-        assert rp == column_enumerate_rp(w)
+        assert rp == ladder_enumerate_rp(w)
 
     @pytest.mark.parametrize(
         "images", [tuple(range(1, 61)), (*range(1, 59), 60, 59)], ids=["identity", "s59"]
     )
     def test_n60(self, images):
         w = Permutation(images)
-        assert enumerate_rp(w) == column_enumerate_rp(w)
+        assert enumerate_rp(w) == ladder_enumerate_rp(w)
 
     def test_seeded_members_trace_to_w(self):
         draws = list(_seeded_draws(910, [9, 10], 20))

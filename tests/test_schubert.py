@@ -59,6 +59,9 @@ class TestPolynomial:
         assert polynomial_to_str(Polynomial.one()) == "1"
         p = Polynomial.from_dict({(2, 0, 1): 1, (1, 1): 3, (): -1})
         assert polynomial_to_str(p) == "x1^2*x3 + 3*x1*x2 + -1"
+        # a variable term of coefficient -1 is written "-" and its factors
+        p = Polynomial.from_dict({(1,): 1, (0, 1): -1})
+        assert polynomial_to_str(p) == "x1 + -x2"
 
     def test_coefficient_lookup(self):
         p = Polynomial.from_dict({(1, 1): 3})
