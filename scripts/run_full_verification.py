@@ -15,9 +15,9 @@ Usage:
 import argparse
 import sys
 import time
-from math import factorial
 
 from pipedual.cli import _budget_seconds, _job_count, _positive_int
+from pipedual.permutations import reversal
 from pipedual.verification import iter_verify
 
 STATS = (
@@ -60,7 +60,9 @@ def main() -> int:
                 )
         elapsed = time.monotonic() - start
         nonmin, reduced_nonmin, off_staircase = totals.values()
-        note = " (budget exhausted)" if checked < factorial(n) else ""
+        # complete iff it reached n, ..., 1, the last in lexicographic order
+        complete = checked and report.permutation == reversal(n)
+        note = "" if complete else " (budget exhausted)"
         print(
             f"{n:>2}  {checked:>7}  {passed:>6}  "
             f"{elapsed:>7.1f}s  {nonmin:>6}  {reduced_nonmin:>14}  "

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import chain
 
-from .grid import Box, Frozen, cells
+from .grid import Box, Frozen, boxes
 from .permutations import Permutation, prefix_sets
 from .transversals import SetFamily
 
@@ -69,7 +69,7 @@ def antidiagonals_in_rectangle(p: int, q: int, size: int) -> Iterator[Antidiagon
     if size < 0:
         raise ValueError("size must be non-negative")
     for mask in _chains(q, 1, p, q, size):
-        yield Antidiagonal(tuple((i // q + 1, i % q + 1) for i in cells(mask)))
+        yield Antidiagonal(boxes(q, mask))
 
 
 def essential_set(w: Permutation) -> tuple[Box, ...]:
@@ -87,7 +87,7 @@ def essential_set(w: Permutation) -> tuple[Box, ...]:
     # every row's essential boxes at their grid.pack bits, decoded in one call
     mask = sum((row & ~below & ~(row >> 1)) << p * n
                for p, (row, below) in enumerate(zip(rows, rows[1:] + [0])))
-    return tuple((i // n + 1, i % n + 1) for i in cells(mask))
+    return boxes(n, mask)
 
 
 def antidiagonal_family(w: Permutation) -> SetFamily:

@@ -30,7 +30,7 @@ from collections.abc import Sequence
 
 import pipedual
 
-from .permutations import Permutation, parse_permutation
+from .permutations import Permutation, parse_permutation, reversal
 from .transversals import (
     FamilyFormatError,
     SetFamily,
@@ -154,7 +154,8 @@ def _cmd_verify(args) -> int:
             checked += 1
             passed += report.passed
     print("]" if json_out else f"{passed}/{checked} permutations pass")
-    exhausted = checked < math.factorial(args.n)
+    # complete iff it reached n, ..., 1, the last permutation in lexicographic order
+    exhausted = not checked or report.permutation != reversal(args.n)
     if exhausted:
         print(
             f"budget exhausted after {time.monotonic() - start:.1f}s: "

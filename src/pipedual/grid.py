@@ -54,7 +54,7 @@ def staircase_boxes(n: int) -> tuple[Box, ...]:
     >>> staircase_boxes(3)
     ((1, 1), (1, 2), (2, 1))
     """
-    return tuple((i // n + 1, i % n + 1) for i in cells(staircase_mask(n)))
+    return boxes(n, staircase_mask(n))
 
 
 def staircase_mask(n: int) -> int:
@@ -63,14 +63,27 @@ def staircase_mask(n: int) -> int:
 
 
 def pack(n: int, boxes: Iterable[Box]) -> int:
-    """The mask of a box set: box (r, c) is bit (r - 1) * n + (c - 1).
-    A box off the grid, which would alias one on it, raises ValueError."""
-    mask = 0
-    for (r, c) in boxes:
+    """The mask of a box set: box (r, c) is bit (r - 1) * n + (c - 1), set
+    in one buffer up to the highest box.  A box off the grid, which would
+    alias one on it, raises ValueError."""
+    at = []
+    for r, c in boxes:
         if not (1 <= r <= n and 1 <= c <= n):
             raise ValueError(f"box ({r}, {c}) outside the {n} x {n} grid")
-        mask |= 1 << ((r - 1) * n + (c - 1))
-    return mask
+        at.append((r - 1) * n + c - 1)
+    data = bytearray(max(at, default=-1) // 8 + 1)
+    for i in at:
+        data[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(data, "little")
+
+
+def boxes(n: int, mask: int) -> tuple[Box, ...]:
+    """The boxes of a mask, sorted by (row, col): the inverse of :func:`pack`.
+
+    >>> boxes(3, pack(3, [(2, 1), (1, 3)]))
+    ((1, 3), (2, 1))
+    """
+    return tuple((i // n + 1, i % n + 1) for i in cells(mask))
 
 
 # BYTE_BITS[v]: the set bits of byte v, ascending; _REVERSED[v]: v with its
@@ -90,8 +103,6 @@ def cells(mask: int) -> list[int]:
     (r, c) of :func:`pack`; they compare as sorted box tuples, a prefix first.
     Linear in the mask's bytes plus its cells: ``find`` skips zero bytes.
 
-    >>> [(i // 3 + 1, i % 3 + 1) for i in cells(pack(3, [(2, 1), (1, 3)]))]
-    [(1, 3), (2, 1)]
     >>> cells(0)
     []
     >>> cells(1 << 80 | 1 << 64 | 1)

@@ -13,12 +13,12 @@ it holds no pool of candidate transversals.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from functools import reduce
-from itertools import chain, repeat
+from itertools import repeat, starmap
 from operator import or_
 
-from .grid import BYTE_BITS, Box, Frozen, _NONZERO, _REVERSED, _SMEAR, cells, pack
+from .grid import BYTE_BITS, Box, Frozen, _NONZERO, _REVERSED, _SMEAR, boxes, cells, pack
 
 _PLANE_BYTES = 1 << 20  # bound on the mask bytes written at once for the byte plane
 _LANE_TABLE_BYTES = 1 << 22  # bound on the lane copies one MMCS search keeps
@@ -58,10 +58,8 @@ class SetFamily(Frozen):
     @property
     def members(self) -> tuple[tuple[Box, ...], ...]:
         """The box sets in canonical order, in which every writer of the
-        family lists them (see :func:`_ordered_members`)."""
-        count, columns = _ordered_members(self, lambda r, c: (r, c), tuple, 0)
-        # the column of empty tuples gives zip one row per member, columns or not
-        return tuple(map(tuple, map(chain.from_iterable, zip(*columns, [()] * count))))
+        family lists them: box tuples compare as their cell indices do."""
+        return tuple(sorted(boxes(self.n, m) for m in self.masks))
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -199,10 +197,10 @@ def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
     return SetFamily(family.n, dual), SetFamily(family.n, rejects)
 
 
-def _sorted_rows(masks: tuple[int, ...]) -> tuple[list[int], list[bytes]]:
-    """The byte plane of the masks in canonical order: the byte positions
-    that some mask touches, ascending, and one row per mask, sorted, of
-    its key and then its own bytes at those positions.
+def _sorted_rows(masks: tuple[int, ...], at: list[int]) -> list[bytes]:
+    """The byte plane of the masks in canonical order: one row per mask,
+    sorted, of its key and then its own bytes at the byte positions
+    ``at``, those that some mask touches, ascending.
 
     The key of a mask m is ``m ^ ((1 << m.bit_length()) - 1)``, the
     complement of m below its own top cell, with each byte's bits reversed
@@ -231,14 +229,12 @@ def _sorted_rows(masks: tuple[int, ...]) -> tuple[list[int], list[bytes]]:
     True
     >>> all(_SMEAR[v] + 1 == 1 << v.bit_length() and _NONZERO[v] == (v and 255) for v in range(256))
     True
-    >>> _sorted_rows((0b10, 0b11, 0b1))  # {1}, {0, 1}, {0}: the last two tie
-    ([0], [b'\\x00\\x01', b'\\x00\\x03', b'\\x80\\x02'])
+    >>> _sorted_rows((0b10, 0b11, 0b1), [0])  # {1}, {0, 1}, {0}: the last two tie
+    [b'\\x00\\x01', b'\\x00\\x03', b'\\x80\\x02']
     """
     import struct  # here, not at the top: only the family writers read it
 
-    union = reduce(or_, masks, 0)
-    span = union.bit_length() // 8 + 1
-    at = sorted({c // 8 for c in cells(union)})  # the byte positions it touches
+    span = at[-1] + 1 if at else 1
     cols = [bytearray() for _ in at]
     step = max(1, _PLANE_BYTES // span)
     for i in range(0, len(masks), step):
@@ -254,47 +250,35 @@ def _sorted_rows(masks: tuple[int, ...]) -> tuple[list[int], list[bytes]]:
         rows[k::2 * width] = key.translate(_REVERSED)
         rows[width + k::2 * width] = col
         later |= int.from_bytes(col.translate(_NONZERO), "little")
-    return at, sorted(struct.Struct(f"{2 * width}s" * count).unpack(rows))
-
-
-def _ordered_members(
-    family: SetFamily, box: Callable, join: Callable, skip: int
-) -> tuple[int, list[list]]:
-    """The members of the family in canonical order (boxes by (row, col),
-    members lexicographically; see :func:`_sorted_rows`) as fragment
-    columns: the count of members, and per byte position j that some
-    member touches, ascending, each member's fragment there in turn,
-    ``join`` of ``box(r, c)`` over its boxes in cells 8j to 8j + 7, less
-    its first ``skip`` items if the member has no box before cell 8j.  A
-    position's fragments are made once per byte value on each side of
-    that split.  Members whose keys start with k bytes 0xFF, the largest
-    such prefix, are those with no box before the k-th position, so one
-    bisection of the rows finds the split.
-    """
-    n = family.n
-    at, rows = _sorted_rows(tuple(family.masks))
-    blob, width, columns = b"".join(rows), len(at), []
-    for k, j in enumerate(at):
-        names = [box(c // n + 1, c % n + 1) for c in range(8 * j, 8 * j + 8)]
-        col, split = blob[width + k::2 * width], bisect_left(rows, b"\xff" * k)
-        fragments = []
-        for cut, part in ((0, col[:split]), (skip, col[split:])):
-            table = {v: join([names[b] for b in BYTE_BITS[v]])[cut:] for v in set(part)}
-            fragments += map(table.__getitem__, part)
-        columns.append(fragments)
-    return len(rows), columns
+    return sorted(struct.Struct(f"{2 * width}s" * count).unpack(rows))
 
 
 def _write(family: SetFamily, box: str, sep: str, brackets: str, after: str) -> str:
-    """The members in canonical order, each its boxes ``box.format(r, c)``
-    joined by ``sep`` in ``brackets``, joined by ``after``: a box is
-    written with ``sep`` before it unless it is its member's first."""
-    count, columns = _ordered_members(family, (sep + box).format, "".join, len(sep))
-    slots = len(columns) + 2
-    out = [brackets[0]] * (count * slots)
-    for k, column in enumerate(columns, 1):
-        out[k::slots] = column
-    out[slots - 1::slots] = [brackets[1] + after] * count
+    """The members in canonical order (see :func:`_sorted_rows`), each its
+    boxes ``box.format(r, c)`` joined by ``sep`` in ``brackets``, joined by
+    ``after``.  Per byte position j that some member touches, a member's
+    fragment is its boxes in cells 8j to 8j + 7, each with ``sep`` before
+    it unless it is the member's first; fragments are made once per byte
+    value on each side of that split.  Members whose keys start with k
+    bytes 0xFF, the largest such prefix, have no box before the k-th
+    position, so one bisection of the rows finds the split.
+    """
+    masks = tuple(family.masks)
+    union = reduce(or_, masks, 0)
+    # per cell that some member holds: its box, written with sep before it
+    names = dict(zip(cells(union), starmap((sep + box).format, boxes(family.n, union))))
+    at = sorted({c // 8 for c in names})
+    rows = _sorted_rows(masks, at)
+    blob, width, slots = b"".join(rows), len(at), len(at) + 2
+    out = [brackets[0]] * (len(rows) * slots)
+    for k, j in enumerate(at):
+        col, split = blob[width + k::2 * width], bisect_left(rows, b"\xff" * k)
+        fragments = []
+        for cut, part in ((0, col[:split]), (len(sep), col[split:])):
+            table = {v: "".join([names[8 * j + b] for b in BYTE_BITS[v]])[cut:] for v in set(part)}
+            fragments += map(table.__getitem__, part)
+        out[k + 1::slots] = fragments
+    out[slots - 1::slots] = [brackets[1] + after] * len(rows)
     if out:
         out[-1] = brackets[1]
     return "".join(out)

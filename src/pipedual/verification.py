@@ -21,7 +21,6 @@ import time
 from collections import deque
 from collections.abc import Collection, Iterable, Iterator
 from itertools import islice, permutations
-from math import factorial
 
 from . import MAX_JOBS
 from .antidiagonals import antidiagonal_family
@@ -33,6 +32,7 @@ from .permutations import (
     identity,
     length,
     prefix_sets,
+    reversal,
 )
 from .pipedreams import PipeDream, enumerate_rp, reduced_traces, trace_lanes
 from .transversals import (
@@ -374,7 +374,8 @@ def iter_verify(
     With jobs > 1 the permutations go to worker processes in chunks of
     CHUNK_SIZE, at most 2 * jobs of them in flight.  Chunks are yielded in
     submission order, and the sweep stops after the first chunk that comes
-    back short.  Closing the generator early shuts the pool down.  Raises
+    back short.  No pool starts once the deadline has passed, and closing
+    the generator early shuts the pool down.  Raises
     ValueError, before any worker exists, if jobs exceeds MAX_JOBS."""
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -384,6 +385,8 @@ def iter_verify(
     if jobs <= 1:
         yield from _verify_each(all_permutations(n), deadline)
         return
+    if deadline is not None and time.monotonic() >= deadline:
+        return
     # imported here: it loads multiprocessing, which serial runs never use
     from concurrent.futures import ProcessPoolExecutor
 
@@ -391,15 +394,16 @@ def iter_verify(
     # the Permutation of every tuple it checks
     images = permutations(range(1, n + 1))
     chunks = iter(lambda: tuple(islice(images, CHUNK_SIZE)), ())
+    first = list(islice(chunks, 2 * jobs))
     # a worker starts at the first submit whether or not a chunk is left
     # for it, so a pool never outnumbers the chunks
-    pool = ProcessPoolExecutor(max_workers=min(jobs, -(-factorial(n) // CHUNK_SIZE)))
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(first)))
 
     def submit(chunk):
         return len(chunk), pool.submit(_verify_chunk, chunk, deadline)
 
     try:
-        window = deque(map(submit, islice(chunks, 2 * jobs)))
+        window = deque(map(submit, first))
         while window:
             size, future = window.popleft()
             reports = future.result()
@@ -421,7 +425,8 @@ def verify_range(
     exhaustion is a status, not an error."""
     start = time.monotonic()
     reports = list(iter_verify(n, budget_seconds, jobs))
-    exhausted = len(reports) < factorial(n)
+    # complete iff it reached n, ..., 1, the last permutation in lexicographic order
+    exhausted = not reports or reports[-1].permutation != reversal(n)
     return VerificationRun(n, reports, exhausted, time.monotonic() - start)
 
 

@@ -7,6 +7,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -200,6 +201,19 @@ class TestDual:
         # index, so it adds no 2 MiB one-bit key per cell
         assert peak < 110 * 2**20
 
+    def test_eight_full_rows_dualize_in_under_3_seconds(self, capsys, tmp_path):
+        # the last eight rows of the 4096 x 4096 grid, each with (1, 1), and
+        # {(1, 1)}: 32,776 boxes in 16 MiB of masks, which fit in 3 s only
+        # if packing a box costs a byte write, not an OR over 2 MiB
+        n = 4096
+        rows = [[[1, 1]] + [[r, c] for c in range(1, n + 1)] for r in range(n - 7, n + 1)]
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"n": n, "members": rows + [[[1, 1]]]}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "dual", str(path))
+        assert time.perf_counter() - start < 3
+        assert (code, out, err) == (0, "{(1,1)}\n", "")
+
     def test_directory_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "dual", str(tmp_path))
         assert code == EXIT_USAGE and out == ""
@@ -336,6 +350,18 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--n", "4", "--budget", "0")
         assert code == EXIT_BUDGET
         assert "budget exhausted" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_zero_budget_at_n_one_million_stops_at_once(self, capsys, jobs):
+        # no n! is computed and no chunk of million-entry tuples is built:
+        # the sweep is complete iff its last report is n, ..., 1
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "1000000", "--jobs", jobs, "--budget", "0"
+        )
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (EXIT_BUDGET, "0/0 permutations pass\n")
+        assert "0 of S_1000000 checked" in err
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         witness = SetFamily.from_sets(2, [[(1, 1)]])

@@ -2,10 +2,11 @@ import time
 from functools import reduce
 from operator import or_
 
+import pytest
 from bit_oracle import bit_indices
 from hypothesis import example, given, strategies as st
 
-from pipedual.grid import cells
+from pipedual.grid import boxes, cells, pack
 
 # bit indices anywhere up to 2^24, and on either side of a byte edge
 index_st = st.one_of(
@@ -41,3 +42,53 @@ class TestCells:
         indices = cells(row)
         assert time.perf_counter() - start < 1
         assert indices == list(range((n - 1) * n, n * n))
+
+
+def box_set_st():
+    """A grid of 1 to 70 columns, so masks end in any of up to 613 bytes,
+    and a set of its boxes, often a whole row or column."""
+
+    def build(n):
+        box = st.tuples(st.integers(1, n), st.integers(1, n))
+        span = range(1, n + 1)
+        line = st.integers(1, n).flatmap(
+            lambda k: st.sampled_from([[(k, c) for c in span], [(r, k) for r in span]])
+        )
+        sets = st.lists(st.one_of(st.lists(box, max_size=12), line), max_size=3)
+        return st.tuples(st.just(n), sets.map(lambda parts: {b for part in parts for b in part}))
+
+    return st.integers(1, 70).flatmap(build)
+
+
+class TestBoxes:
+    @given(box_set_st())
+    @example((1, set()))
+    @example((1, {(1, 1)}))
+    @example((70, {(1, 8), (1, 9), (70, 70)}))
+    def test_undoes_pack(self, case):
+        n, box_set = case
+        mask = pack(n, box_set)
+        # pack's bit numbering, one shift per box, with no buffer
+        assert mask == sum(1 << (r - 1) * n + c - 1 for r, c in box_set)
+        assert boxes(n, mask) == tuple(sorted(box_set))
+        assert pack(n, boxes(n, mask)) == mask
+
+    @given(st.integers(1, 70), st.data())
+    def test_boxes_off_the_grid_raise(self, n, data):
+        # one coordinate off the grid: 0, negative, or past n; the other may be anything
+        off = st.one_of(st.integers(-3, 0), st.integers(n + 1, n + 3))
+        anything = st.integers(-3, n + 3)
+        bad = data.draw(st.one_of(st.tuples(off, anything), st.tuples(anything, off)))
+        on = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=4))
+        message = rf"box \({bad[0]}, {bad[1]}\) outside the {n} x {n} grid"
+        with pytest.raises(ValueError, match=message):
+            pack(n, on + [bad])
+
+    def test_row_4096_packs_in_under_a_second(self):
+        # a box costs one byte write, not a shift of the 2 MiB mask
+        n = 4096
+        row = [(n, c) for c in range(1, n + 1)]
+        start = time.perf_counter()
+        mask = pack(n, row)
+        assert time.perf_counter() - start < 1
+        assert mask == int.from_bytes(bytes((n - 1) * n // 8) + b"\xff" * (n // 8), "little")

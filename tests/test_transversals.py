@@ -11,7 +11,7 @@ from pipedual import transversals
 from pipedual.antidiagonals import antidiagonal_family
 from pipedual.cli import _family_to_ascii
 from pipedual.grid import pack
-from pipedual.permutations import parse_permutation
+from pipedual.permutations import Permutation, all_permutations, parse_permutation
 from pipedual.pipedreams import PipeDream, enumerate_rp, render_ascii
 from pipedual.transversals import (
     FamilyFormatError,
@@ -180,7 +180,25 @@ def order_case_st():
     return st.sampled_from([16, 17, 256, 257]).flatmap(build)
 
 
+def s9_draws(count=50):
+    rng = random.Random(9)
+    return [Permutation(tuple(rng.sample(range(1, 10), 9))) for _ in range(count)]
+
+
 class TestMemberOrder:
+    @pytest.mark.parametrize(
+        "perms",
+        [pytest.param(list(all_permutations(n)), id=f"S{n}") for n in range(1, 7)]
+        + [pytest.param(s9_draws(), id="S9-draws")],
+    )
+    def test_writers_follow_members_on_rp_and_ad(self, perms):
+        # members sorts box tuples; the writers sort byte-plane rows, an
+        # order that shares no code with it
+        for w in perms:
+            for family in (enumerate_rp(w), antidiagonal_family(w)):
+                lines = ["{" + ", ".join(f"({r},{c})" for r, c in m) + "}" for m in family.members]
+                assert family_to_text(family).splitlines() == lines, w
+
     @given(order_case_st())
     @example((17, [[0, 255, 256], [0, 255], [255], [256, 288], [0, 256]], True))
     @example((257, [[1, 65_535, 65_536], [1, 65_536], [65_535], [66_048]], False))
