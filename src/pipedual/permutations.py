@@ -130,7 +130,9 @@ def rank(w: Permutation, p: int, q: int) -> int:
     >>> rank(identity(5), 3, 4)
     3
     """
-    return rank_matrix(w).entry(p, q)
+    if not (1 <= p <= w.n and 1 <= q <= w.n):
+        raise IndexError(f"({p}, {q}) out of range for n={w.n}")
+    return (prefix_sets(w)[p - 1] & (1 << q) - 1).bit_count()
 
 
 def length(w: Permutation) -> int:
@@ -153,19 +155,17 @@ def length(w: Permutation) -> int:
 def bruhat_geq(v: Permutation, w: Permutation) -> bool:
     """True iff v >= w in Bruhat order.
 
-    The comparison is the entrywise rank criterion: v >= w exactly when
-    every upper-left submatrix of v has rank at most that of w.
+    The comparison is the entrywise rank criterion, on prefix sets: v >= w
+    exactly when every upper-left submatrix of v has rank at most that of w.
 
     >>> bruhat_geq(parse_permutation("321"), parse_permutation("213"))
     True
     """
     if v.n != w.n:
         raise ValueError(f"size mismatch: {v.n} vs {w.n}")
-    rv = rank_matrix(v).entries
-    rw = rank_matrix(w).entries
-    return all(
-        rv[p][q] <= rw[p][q] for p in range(v.n) for q in range(v.n)
-    )
+    below = [(1 << q) - 1 for q in range(1, v.n + 1)]  # the column masks
+    pairs = zip(prefix_sets(v), prefix_sets(w))
+    return all((a & m).bit_count() <= (b & m).bit_count() for a, b in pairs for m in below)
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

@@ -100,24 +100,24 @@ def fold_rows(w: Permutation, start, add: Callable[[dict, tuple, object, int], N
             pipes, acc = frontier.popitem()
             at = pipes.index(r)  # pipe r sits in slot p = r + at
             head, tail = pipes[:at], pipes[at + 1:]
-            # the forced crossings in slots r .. p - 1, then the free ones
-            # from slot n - 1 down to p + 1, where tail[j] sits in slot p + 1 + j
-            rows = [(tail, ((1 << at) - 1) << first)]
+            # row r in its own bits, box (r, c) at bit c - 1, shifted into place once: the
+            # forced crossings in slots r .. p - 1, then the free ones from slot n - 1 down
+            # to p + 1, where tail[j] sits in slot p + 1 + j
+            rows = [(tail, (1 << at) - 1)]
             for j in range(len(tail) - 2, -1, -1):
-                bit = 1 << (first + at + 1 + j)
                 for i in range(len(rows)):
                     t, row = rows[i]
                     if t[j] > t[j + 1]:
-                        rows.append((t[:j] + (t[j + 1], t[j]) + t[j + 2:], row | bit))
+                        rows.append((t[:j] + (t[j + 1], t[j]) + t[j + 2:], row | 2 << at + j))
             for t, row in rows:
-                add(below, head + t, acc, row)
+                add(below, head + t, acc, row << first)
         frontier = below
     [acc] = frontier.values()
     return acc
 
 
 def _add_masks(below: dict, pipes: tuple, masks: list[int], row: int) -> None:
-    below.setdefault(pipes, []).extend([mask | row for mask in masks])
+    below.setdefault(pipes, []).extend([mask | row for mask in masks] if row else masks)
 
 
 def enumerate_rp(w: Permutation) -> SetFamily:

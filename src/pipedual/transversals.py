@@ -75,22 +75,21 @@ class SetFamily(Frozen):
 
 
 def is_transversal(boxes: Iterable[Box], family: SetFamily) -> bool:
-    """True iff the box set meets every member of the family.
-
-    Vacuously true for the empty family.
+    """True iff the box set meets every member of the family: its mask
+    (:func:`grid.pack`, so a box off the grid raises ValueError) ANDs
+    nonzero with each.  Vacuously true for the empty family.
     """
-    t = set(boxes)
-    return all(t.intersection(member) for member in family.members)
+    probe = pack(family.n, boxes)
+    return all(probe & m for m in family.masks)
 
 
 def is_minimal_transversal(boxes: Iterable[Box], family: SetFamily) -> bool:
     """True iff the box set is a transversal and every element has a
-    witness member intersecting the set in that element alone."""
-    t = set(boxes)
-    members = [set(m) for m in family.members]
-    if not all(t & m for m in members):
-        return False
-    return all(any(t & m == {x} for m in members) for x in t)
+    witness member intersecting the set in that element alone: the
+    members' one-cell hits OR to the whole set."""
+    probe = pack(family.n, boxes)
+    hits = [probe & m for m in family.masks]
+    return all(hits) and reduce(or_, (h for h in hits if not h & h - 1), 0) == probe
 
 
 def minimalize(family: SetFamily) -> SetFamily:

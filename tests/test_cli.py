@@ -104,6 +104,16 @@ class TestRp:
         assert code == 0 and err == ""
         assert out == "".join(f"{{({r},{60 - r})}}\n" for r in range(1, 60))
 
+    def test_last_simple_transposition_at_n1024_in_under_2_seconds(self, capsys):
+        # 1,023 one-box dreams: a row costs its crossings, not a full-width
+        # bit per free slot
+        images = [*range(1, 1023), 1024, 1023]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "rp", ",".join(map(str, images)), "--format", "json")
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"n": 1024, "members": [[[r, 1024 - r]] for r in range(1, 1024)]}
+
 
 class TestAd:
     def test_text(self, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -81,6 +82,17 @@ class TestRank:
         with pytest.raises(IndexError):
             rank(identity(3), 1, 4)
 
+    def test_reads_one_prefix_set(self):
+        # no n x n table: at n = 600 that peaks at about 6 MiB
+        w = identity(600)
+        tracemalloc.start()
+        try:
+            value = rank(w, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1 and peak < 2**20
+
     @given(perm_st())
     def test_full_rank_is_n(self, w):
         assert rank(w, w.n, w.n) == w.n
@@ -112,8 +124,8 @@ class TestRank:
 
 
 class TestPrefixSets:
-    # the oracles count images directly and share no code with prefix_sets
-    # or rank_matrix
+    # the oracles count images directly and share no code with prefix_sets,
+    # rank_matrix or rank
     @pytest.mark.parametrize("n", range(1, 7))
     def test_against_direct_count(self, n):
         for w in all_permutations(n):
@@ -121,7 +133,7 @@ class TestPrefixSets:
             for p in range(1, n + 1):
                 assert sets[p - 1] == sum(2 ** (j - 1) for j in w.images[:p])
                 for q in range(1, n + 1):
-                    assert r.entry(p, q) == sum(
+                    assert rank(w, p, q) == r.entry(p, q) == sum(
                         1 for i in range(p) if w.images[i] <= q
                     )
 
@@ -163,6 +175,17 @@ class TestBruhat:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             bruhat_geq(identity(3), identity(4))
+
+    def test_builds_no_rank_table(self):
+        # two n x n tables at n = 600 peak at about 10 MiB
+        v, w = reversal(600), identity(600)
+        tracemalloc.start()
+        try:
+            above = bruhat_geq(v, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert above and peak < 2**20
 
     def test_antisymmetric_on_s4(self):
         perms = list(all_permutations(4))

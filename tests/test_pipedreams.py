@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -182,6 +183,14 @@ class TestEnumerate:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_identity_gives_single_empty_dream(self, n):
         assert enumerate_rp(identity(n)).members == ((),)
+
+    def test_identity_at_n1500_in_under_a_second(self):
+        # each row choice is built in its row's bits and shifted once: a
+        # full-width bit per free slot of each of the 1,499 rows takes seconds
+        start = time.perf_counter()
+        family = enumerate_rp(identity(1500))
+        assert time.perf_counter() - start < 1
+        assert family.masks == {0}
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_reversal_gives_full_staircase(self, n):

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -89,6 +90,13 @@ class TestSchubert:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_identity_is_one(self, n):
         assert schubert_polynomial(identity(n)) == Polynomial.one()
+
+    def test_identity_at_n1500_in_under_a_second(self):
+        # the row fold of enumerate_rp: no row costs the grid's width
+        start = time.perf_counter()
+        poly = schubert_polynomial(identity(1500))
+        assert time.perf_counter() - start < 1
+        assert poly == Polynomial.one()
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 3), (5, 4)])
     def test_simple_transposition_sums_first_k_variables(self, n, k):

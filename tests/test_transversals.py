@@ -2,6 +2,7 @@ import json
 import random
 import time
 import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 from bit_oracle import bit_indices
@@ -10,7 +11,7 @@ from hypothesis import example, given, strategies as st
 from pipedual import transversals
 from pipedual.antidiagonals import antidiagonal_family
 from pipedual.cli import _family_to_ascii
-from pipedual.grid import pack
+from pipedual.grid import pack, staircase_boxes
 from pipedual.permutations import Permutation, all_permutations, parse_permutation
 from pipedual.pipedreams import PipeDream, enumerate_rp, render_ascii
 from pipedual.transversals import (
@@ -322,6 +323,73 @@ class TestIsMinimalTransversal:
         dual = transversal_dual(family)
         for member in dual.members:
             assert is_minimal_transversal(member, family)
+
+
+def transversal_oracle(probe, members):
+    """Whether the box set ``probe`` is a transversal of the box sets
+    ``members``, and a minimal one (no box can be dropped): Python sets of
+    box tuples alone, no masks."""
+    sets = [set(m) for m in members]
+
+    def meets(t):
+        return all(t & m for m in sets)
+
+    t = set(probe)
+    return meets(t), meets(t) and not any(meets(t - {x}) for x in t)
+
+
+@contextmanager
+def members_unread():
+    """``SetFamily.members`` raises inside the block: the predicates test
+    masks and decode no member."""
+
+    def unread(family):
+        raise AssertionError("SetFamily.members was read")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SetFamily, "members", property(unread))
+        yield
+
+
+def both_predicates(probe, family):
+    with members_unread():
+        return is_transversal(probe, family), is_minimal_transversal(probe, family)
+
+
+class TestPredicateOracle:
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=4), max_size=6),
+        st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=6),
+    )))
+    def test_hypothesis_families(self, case):
+        n, sets, probe = case
+        family = SetFamily.from_sets(n, sets)
+        assert both_predicates(probe, family) == transversal_oracle(probe, sets)
+        assert both_predicates([], family) == transversal_oracle([], sets)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_rp_and_ad_families(self, n):
+        # each member, each member less one box, each member plus one free
+        # staircase box
+        staircase = set(staircase_boxes(n))
+        for w in all_permutations(n):
+            for family in (enumerate_rp(w), antidiagonal_family(w)):
+                sets = [set(m) for m in family.members]
+                probes = []
+                for m in sets:
+                    probes += [m, *(m - {x} for x in m), *(m | {x} for x in staircase - m)]
+                got = [both_predicates(probe, family) for probe in probes]
+                assert got == [transversal_oracle(probe, sets) for probe in probes], w
+
+    # off the grid, or not a pair: ValueError as in pack, on the empty family too
+    @pytest.mark.parametrize("box", [(0, 1), (1, 0), (4, 2), (2, 4), (-1, 1), (), (1,), (1, 1, 1)])
+    @pytest.mark.parametrize("sets", [[], [[(1, 1)]]])
+    def test_bad_probe_box_raises(self, box, sets):
+        family = SetFamily.from_sets(3, sets)
+        for predicate in (is_transversal, is_minimal_transversal):
+            with pytest.raises(ValueError):
+                predicate([(1, 1), box], family)
 
 
 class TestMinimalize:
