@@ -17,8 +17,7 @@ import sys
 import time
 
 from pipedual.cli import _budget_seconds, _job_count, _positive_int
-from pipedual.permutations import reversal
-from pipedual.verification import iter_verify
+from pipedual.verification import ends_sweep, iter_verify
 
 STATS = (
     "nonminimal_transversals_seen",
@@ -60,8 +59,7 @@ def main() -> int:
                 )
         elapsed = time.monotonic() - start
         nonmin, reduced_nonmin, off_staircase = totals.values()
-        # complete iff it reached n, ..., 1, the last in lexicographic order
-        complete = checked and report.permutation == reversal(n)
+        complete = checked and ends_sweep(report)
         note = "" if complete else " (budget exhausted)"
         print(
             f"{n:>2}  {checked:>7}  {passed:>6}  "

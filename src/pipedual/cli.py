@@ -30,7 +30,7 @@ from collections.abc import Sequence
 
 import pipedual
 
-from .permutations import Permutation, parse_permutation, reversal
+from .permutations import Permutation, parse_permutation
 from .transversals import (
     FamilyFormatError,
     SetFamily,
@@ -135,7 +135,7 @@ def _run_query(args) -> int:
 
 def _cmd_verify(args) -> int:
     # imported here: no other command runs the verification pass
-    from .verification import iter_verify, report_to_json
+    from .verification import ends_sweep, iter_verify, report_to_json
 
     # each report is written as it arrives; none is kept
     start = time.monotonic()
@@ -154,8 +154,7 @@ def _cmd_verify(args) -> int:
             checked += 1
             passed += report.passed
     print("]" if json_out else f"{passed}/{checked} permutations pass")
-    # complete iff it reached n, ..., 1, the last permutation in lexicographic order
-    exhausted = not checked or report.permutation != reversal(args.n)
+    exhausted = not checked or not ends_sweep(report)
     if exhausted:
         print(
             f"budget exhausted after {time.monotonic() - start:.1f}s: "

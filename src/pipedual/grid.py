@@ -58,8 +58,9 @@ def staircase_boxes(n: int) -> tuple[Box, ...]:
 
 
 def staircase_mask(n: int) -> int:
-    """The mask of :func:`staircase_boxes`: row r holds columns 1 .. n - r."""
-    return sum(((1 << n - r) - 1) << (r - 1) * n for r in range(1, n))
+    """The mask of :func:`staircase_boxes`: row r holds columns 1 .. n - r.
+    One binary numeral, row n first, each row from its top bit: r zeros, n - r ones."""
+    return int("".join("0" * r + "1" * (n - r) for r in range(n, 0, -1)) or "0", 2)
 
 
 def pack(n: int, boxes: Iterable[Box]) -> int:

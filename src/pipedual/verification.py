@@ -156,11 +156,12 @@ def _check_rank_antidiagonal(w: Permutation, rp: Lanes) -> CheckResult:
     n, rows = w.n, prefix_sets(w)
     # rank row p as _antidiagonal_steps gives a row: bit q - 1 is set iff
     # rank(w, p, q) > rank(w, p, q - 1), i.e. q is one of w(1), ..., w(p);
-    # one DP per row p runs on every dream at once
-    bad = 0
+    # one DP per row p runs on every dream at once; both sides of a row's
+    # difference keep lanes' top bits clear, so one nonzero test reads all rows
+    diff = 0
     for p, steps in enumerate(rows, 1):
-        bad |= rp.nonzero(_antidiagonal_steps(n, rp.packed, p, rp.ones) ^ rp.ones * steps)
-    if not bad:
+        diff |= _antidiagonal_steps(n, rp.packed, p, rp.ones) ^ rp.ones * steps
+    if not (bad := rp.nonzero(diff)):
         return CheckResult(True)
     # the witness is the first offender in members order, with its first
     # failing (p, q) in row-major order, recomputed on its mask alone
@@ -375,14 +376,23 @@ def iter_verify(
     CHUNK_SIZE, at most 2 * jobs of them in flight.  Chunks are yielded in
     submission order, and the sweep stops after the first chunk that comes
     back short.  No pool starts once the deadline has passed, and closing
-    the generator early shuts the pool down.  Raises
-    ValueError, before any worker exists, if jobs exceeds MAX_JOBS."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    the generator early shuts the pool down.  Raises ValueError, before
+    any worker exists, unless n and jobs are ints (not bools) of at least
+    1, jobs is at most MAX_JOBS, and the budget is None or a finite
+    number of at least 0."""
+    for name, count in (("n", n), ("jobs", jobs)):
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"{name} must be an int of at least 1, got {count!r}")
     if jobs > MAX_JOBS:
         raise ValueError(f"jobs must be at most {MAX_JOBS}, got {jobs}")
+    if budget_seconds is not None and (
+        isinstance(budget_seconds, bool)
+        or not isinstance(budget_seconds, (int, float))
+        or not 0 <= budget_seconds < float("inf")  # false for nan
+    ):
+        raise ValueError(f"budget_seconds must be finite and at least 0, got {budget_seconds!r}")
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    if jobs <= 1:
+    if jobs == 1:
         yield from _verify_each(all_permutations(n), deadline)
         return
     if deadline is not None and time.monotonic() >= deadline:
@@ -416,6 +426,12 @@ def iter_verify(
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def ends_sweep(report: VerificationReport) -> bool:
+    """Whether report is of n, ..., 1, the last permutation of S_n in
+    lexicographic order: a sweep that yields it has checked all of S_n."""
+    return report.permutation == reversal(report.permutation.n)
+
+
 def verify_range(
     n: int, budget_seconds: float | None = None, jobs: int = 1
 ) -> VerificationRun:
@@ -425,8 +441,7 @@ def verify_range(
     exhaustion is a status, not an error."""
     start = time.monotonic()
     reports = list(iter_verify(n, budget_seconds, jobs))
-    # complete iff it reached n, ..., 1, the last permutation in lexicographic order
-    exhausted = not reports or reports[-1].permutation != reversal(n)
+    exhausted = not reports or not ends_sweep(reports[-1])
     return VerificationRun(n, reports, exhausted, time.monotonic() - start)
 
 

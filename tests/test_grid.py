@@ -6,7 +6,7 @@ import pytest
 from bit_oracle import bit_indices
 from hypothesis import example, given, strategies as st
 
-from pipedual.grid import boxes, cells, pack
+from pipedual.grid import boxes, cells, pack, staircase_mask
 
 # bit indices anywhere up to 2^24, and on either side of a byte edge
 index_st = st.one_of(
@@ -92,3 +92,20 @@ class TestBoxes:
         mask = pack(n, row)
         assert time.perf_counter() - start < 1
         assert mask == int.from_bytes(bytes((n - 1) * n // 8) + b"\xff" * (n // 8), "little")
+
+
+class TestStaircaseMask:
+    @pytest.mark.parametrize("n", range(65))
+    def test_equals_the_row_sum(self, n):
+        # row r holds columns 1 .. n - r, one row mask shifted into place each
+        rows = (((1 << n - r) - 1) << (r - 1) * n for r in range(1, n))
+        assert staircase_mask(n) == sum(rows)
+
+    def test_n_4096_builds_in_under_half_a_second(self):
+        # one numeral, not a sum whose every step is as wide as the mask
+        n = 4096
+        start = time.perf_counter()
+        mask = staircase_mask(n)
+        assert time.perf_counter() - start < 0.5
+        assert mask.bit_count() == n * (n - 1) // 2
+        assert mask.bit_length() == (n - 2) * n + 1  # box (n - 1, 1)

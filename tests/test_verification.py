@@ -43,6 +43,7 @@ from pipedual.verification import (
     CheckResult,
     VerificationReport,
     _verify_chunk,
+    ends_sweep,
     iter_verify,
     max_elbow_antidiagonal,
     report_to_json,
@@ -305,6 +306,27 @@ class TestRankWitness:
         assert report_to_json(verify_permutation(w)) == want
 
 
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_one_emptiness_test_per_check(self, monkeypatch, broken):
+        # the rows' differences are ORed, then tested for nonzero lanes once
+        w = parse_permutation("13254")
+        members = [list(m) for m in enumerate_rp(w).members]
+        if broken:
+            members[1].append(next(b for b in staircase_boxes(5) if b not in members[1]))
+        family = SetFamily.from_sets(5, members)
+        lanes, calls, nonzero = lanes_of(family), [], Lanes.nonzero
+
+        def counted(self, x):
+            calls.append(x)
+            return nonzero(self, x)
+
+        monkeypatch.setattr(Lanes, "nonzero", counted)
+        result = verification._check_rank_antidiagonal(w, lanes)
+        assert len(calls) == 1
+        assert result.passed is not broken
+        assert result == per_rectangle_rank_check(w, family)
+
+
 class TestRankAntidiagonalLaw:
     def test_worked_example(self):
         assert verify_rank_antidiagonal_law(parse_permutation("2143")).passed
@@ -443,6 +465,45 @@ class TestVerifyRange:
         with pytest.raises(NoPool):
             next(iter_verify(n, jobs=jobs))
         assert seen == [workers]
+
+    def test_only_the_last_report_of_a_full_sweep_ends_it(self):
+        reports = verify_range(4).reports
+        assert ends_sweep(reports[-1])
+        assert not any(map(ends_sweep, reports[:-1]))
+
+    def test_a_sweep_cut_short_by_its_budget_does_not_end(self):
+        run = verify_range(8, budget_seconds=0.5)
+        assert run.exhausted and run.reports
+        assert not ends_sweep(run.reports[-1])
+
+    @staticmethod
+    def _no_pool(monkeypatch):
+        def spy(max_workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -5, -0.5, True, "1"])
+    def test_rejects_a_budget_that_is_not_finite_and_at_least_0(self, monkeypatch, budget):
+        self._no_pool(monkeypatch)
+        with pytest.raises(ValueError, match="budget_seconds must be finite"):
+            next(iter_verify(4, budget, jobs=2))
+        with pytest.raises(ValueError, match="budget_seconds must be finite"):
+            verify_range(4, budget_seconds=budget)
+
+    @pytest.mark.parametrize("n", [-2, 2.5, True, "4"])
+    def test_rejects_an_n_that_is_not_an_int_of_at_least_1(self, monkeypatch, n):
+        self._no_pool(monkeypatch)
+        with pytest.raises(ValueError, match="n must be an int of at least 1"):
+            next(iter_verify(n, jobs=2))
+
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5, True, "2"])
+    def test_rejects_jobs_that_are_not_an_int_of_at_least_1(self, monkeypatch, jobs):
+        self._no_pool(monkeypatch)
+        with pytest.raises(ValueError, match="jobs must be an int of at least 1"):
+            next(iter_verify(4, jobs=jobs))
+        with pytest.raises(ValueError, match="jobs must be an int of at least 1"):
+            verify_range(4, jobs=jobs)
 
     def test_chunk_stops_at_the_deadline(self):
         chunk = tuple(w.images for w in all_permutations(3))
