@@ -30,6 +30,7 @@ from collections.abc import Sequence
 
 import pipedual
 
+from .grid import cells
 from .permutations import Permutation, parse_permutation
 from .transversals import (
     FamilyFormatError,
@@ -86,8 +87,10 @@ def _family_of(token: str) -> SetFamily:
 
 
 def _family_to_ascii(family: SetFamily) -> str:
-    dreams = (pipedual.PipeDream(family.n, frozenset(m)) for m in family.members)
-    return "\n\n".join(map(pipedual.render_ascii, dreams))
+    # the dreams in members order, pictured straight from their masks
+    from .pipedreams import _pictures
+
+    return "\n\n".join(_pictures(family.n, sorted(family.masks, key=cells)))
 
 
 _FAMILY = {"text": family_to_text, "json": family_to_json}

@@ -15,10 +15,10 @@ through the north edge, so tracing always yields a permutation.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Iterable, Iterator
+from itertools import combinations
 
-from .grid import Box, Frozen, Lanes, staircase_boxes, staircase_mask
+from .grid import Box, Frozen, Lanes, pack, staircase_boxes, staircase_mask
 from .permutations import Permutation, length
 from .transversals import SetFamily
 
@@ -27,16 +27,20 @@ BRUTE_FORCE_MAX_N = 6
 
 
 class PipeDream(Frozen):
-    """Crossing-box set of an n x n pipe dream."""
+    """An n x n pipe dream: the mask of its crossing tiles (see
+    :func:`grid.pack`), given as any iterable of boxes.  A box off the grid
+    raises ValueError, as does a tile off the staircase, naming the first
+    in row-major order."""
 
-    def __init__(self, n: int, crosses: frozenset[Box]):
-        for (r, c) in crosses:
-            if not (1 <= r and 1 <= c and r + c <= n):
-                raise ValueError(
-                    f"crossing tile ({r}, {c}) outside the staircase of the "
-                    f"{n} x {n} grid"
-                )
-        self.__dict__.update(n=n, crosses=crosses)
+    def __init__(self, n: int, crosses: Iterable[Box]):
+        mask = pack(n, crosses)
+        if off := mask & ~staircase_mask(n):
+            i = (off & -off).bit_length() - 1
+            raise ValueError(
+                f"crossing tile ({i // n + 1}, {i % n + 1}) outside the staircase "
+                f"of the {n} x {n} grid"
+            )
+        self.__dict__.update(n=n, mask=mask)
 
 
 def trace(dream: PipeDream) -> Permutation:
@@ -44,24 +48,31 @@ def trace(dream: PipeDream) -> Permutation:
     column w(i) of its pipe: the tile walk.  A pipe heading east keeps its
     heading through a crossing and turns at an elbow, as does one heading
     north, so its heading flips exactly at the elbows."""
+    return Permutation(_walk(dream.n, dream.mask))
+
+
+def _walk(n: int, mask: int) -> tuple[int, ...]:
+    """The images of :func:`trace`, on a mask of crossing tiles."""
     images = []
-    for pipe in range(1, dream.n + 1):
-        r, c, east = pipe, 1, True
-        while r >= 1:
-            east = ((r, c) in dream.crosses) == east
+    for pipe in range(1, n + 1):
+        # i is the bit of the pipe's tile (r, c); the pipe leaves the grid
+        # once r reaches 0, so once i turns negative
+        i, c, east = (pipe - 1) * n, 1, 1
+        while i >= 0:
+            east ^= 1 ^ (mask >> i & 1)  # flips at an elbow
             if east:
-                c += 1
+                c, i = c + 1, i + 1
             else:
-                r -= 1
+                i -= n
         images.append(c)
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def is_reduced(dream: PipeDream) -> bool:
     """True iff the number of crossing tiles equals the inversion count of
     the trace; equivalently no pair of pipes crosses more than once
     (Bergeron and Billey's rc-graphs)."""
-    return len(dream.crosses) == length(trace(dream))
+    return dream.mask.bit_count() == length(trace(dream))
 
 
 def fold_rows(w: Permutation, start, add: Callable[[dict, tuple, object, int], None]):
@@ -188,27 +199,31 @@ def enumerate_rp_bruteforce(w: Permutation) -> SetFamily:
         raise ValueError(
             f"brute-force enumeration is capped at n <= {BRUTE_FORCE_MAX_N}"
         )
-    boxes = staircase_boxes(w.n)
-    found = []
-    for subset in itertools.combinations(boxes, length(w)):
-        if trace(PipeDream(w.n, frozenset(subset))) == w:
-            found.append(subset)
-    return SetFamily.from_sets(w.n, found)
+    masks = (pack(w.n, subset) for subset in combinations(staircase_boxes(w.n), length(w)))
+    return SetFamily(w.n, (m for m in masks if _walk(w.n, m) == w.images))
+
+
+def _pictures(n: int, masks: Iterable[int]) -> Iterator[str]:
+    """The picture of :func:`render_ascii` for each mask of crossing tiles
+    on the staircase, in order.  Each grid row's line is looked up by the
+    row and its bits, in a table built as rows are first seen, so a
+    picture costs n lookups."""
+    full, lines = (1 << n) - 1, {}
+
+    def line(r: int, row: int) -> str:
+        # row r + 1: its crossings, then '.' through column n - r, then spaces
+        return "".join("+" if row >> c & 1 else "." if c < n - r else " " for c in range(n))
+
+    for mask in masks:
+        picture = []
+        for r in range(n):
+            key = r, mask & full
+            picture.append(lines.get(key) or lines.setdefault(key, line(*key)))
+            mask >>= n
+        yield "\n".join(picture)
 
 
 def render_ascii(dream: PipeDream) -> str:
     """Fixed-width picture: '+' for crossings, '.' for elbows weakly above
     the main antidiagonal (row + col <= n + 1), a space below it."""
-    n = dream.n
-    lines = []
-    for i in range(1, n + 1):
-        line = []
-        for j in range(1, n + 1):
-            if (i, j) in dream.crosses:
-                line.append("+")
-            elif i + j <= n + 1:
-                line.append(".")
-            else:
-                line.append(" ")
-        lines.append("".join(line))
-    return "\n".join(lines)
+    return next(_pictures(dream.n, [dream.mask]))

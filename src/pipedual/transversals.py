@@ -131,12 +131,17 @@ def _mmcs(members: Iterable[int]) -> tuple[list[int], list[int]]:
     result if c is allowed (else another node finds it), else a reject.
 
     Critical sets share one int, as in :class:`grid.Lanes`: per chosen cell
-    (at most min(#cells, #members), each with a critical member of its own)
-    a lane of ``len(members) // 8 + 1`` bytes with a spare top bit; a node
-    carries its lanes' top bits.  The cut ANDs the lanes with the cell's
-    non-holders, repeated per lane (tabulated up to ``_LANE_TABLE_BYTES``,
-    then built per use), and takes them from the top bits, which survive
-    on exactly the emptied lanes.  Both per-cell tables are keyed by bit index.
+    that needs one (at most min(#cells, #members), each with a critical
+    member of its own) a lane of ``len(members) // 8 + 1`` bytes with a
+    spare top bit; a node carries its lane count and its lanes' top bits.
+    The cut ANDs the lanes with the cell's non-holders, repeated per lane
+    (tabulated up to ``_LANE_TABLE_BYTES``, then built per use), and takes
+    them from the top bits, which survive on exactly the emptied lanes.
+    Both per-cell tables are keyed by bit index.  The child for the first
+    allowed cell of the branch member needs no lane: the member's other
+    cells are barred in its subtree, so the member stays critical there
+    and the lane never empties.  The exception is a member with another
+    cell in ``last``, which a p-node may add barred or not.
     """
     order = sorted(sorted(members), key=int.bit_count)
     # per cell index: the members containing it, as a bit set over the order
@@ -153,10 +158,9 @@ def _mmcs(members: Iterable[int]) -> tuple[list[int], list[int]]:
     keep = {c: cut(c, cap) for c in holders}
     last_cells = [c for c, held in holders.items() if held & lastbit]
     found, rejects = [] if order else [0], []  # no members: just the empty set
-    stack = [(0, reduce(or_, order, 0), everyone, 0, 0)]
+    stack = [(0, reduce(or_, order, 0), everyone, 0, 0, 0)]
     while stack:
-        chosen, allowed, unmet, critical, top = stack.pop()
-        d = chosen.bit_count()
+        chosen, allowed, unmet, critical, top, d = stack.pop()
         if unmet == lastbit:  # only last is unmet: chosen is a p
             for c in last_cells:
                 if (top - (critical & (keep[c] if d <= cap else cut(c, d)))) & top:
@@ -164,8 +168,11 @@ def _mmcs(members: Iterable[int]) -> tuple[list[int], list[int]]:
                 elif allowed >> c & 1:
                     found.append(chosen | 1 << c)
             continue
-        branch = order[(unmet & -unmet).bit_length() - 1] & allowed
+        member = order[(unmet & -unmet).bit_length() - 1]
+        branch = member & allowed
         allowed &= ~branch
+        # the first cell needs no lane unless a p-node can add another of member's cells
+        bare = branch and not (member ^ branch & -branch) & order[-1]
         child_top = top | 1 << 8 * size * (d + 1) - 1  # with lane d's top bit
         while branch:
             cell = branch & -branch
@@ -175,10 +182,13 @@ def _mmcs(members: Iterable[int]) -> tuple[list[int], list[int]]:
             if not (top - still) & top:
                 if not unmet & ~(held := holders[c]):
                     found.append(chosen | cell)
+                elif bare:
+                    stack.append((chosen | cell, allowed, unmet & ~held, still, top, d))
                 else:
                     still |= (unmet & held) << 8 * size * d
-                    stack.append((chosen | cell, allowed, unmet & ~held, still, child_top))
+                    stack.append((chosen | cell, allowed, unmet & ~held, still, child_top, d + 1))
             allowed |= cell
+            bare = False
     return found, rejects
 
 

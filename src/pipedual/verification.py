@@ -259,7 +259,7 @@ def max_elbow_antidiagonal(dream: PipeDream, p: int, q: int) -> int:
     (the steps in its first q columns)."""
     if not (1 <= p <= dream.n and 1 <= q <= dream.n):
         raise IndexError(f"rectangle ({p}, {q}) out of range for n={dream.n}")
-    steps = _antidiagonal_steps(dream.n, pack(dream.n, dream.crosses), p)
+    steps = _antidiagonal_steps(dream.n, dream.mask, p)
     return (steps & ((1 << q) - 1)).bit_count()
 
 
@@ -368,18 +368,19 @@ def _verify_chunk(
 def iter_verify(
     n: int, budget_seconds: float | None = None, jobs: int = 1
 ) -> Iterator[VerificationReport]:
-    """Yield the report of every permutation of S_n in lexicographic
-    order, stopping once the time budget is spent; a permutation is
-    started only before the deadline.
+    """A generator of the report of every permutation of S_n in
+    lexicographic order, stopping once the time budget is spent; a
+    permutation is started only before the deadline.
 
     With jobs > 1 the permutations go to worker processes in chunks of
     CHUNK_SIZE, at most 2 * jobs of them in flight.  Chunks are yielded in
     submission order, and the sweep stops after the first chunk that comes
     back short.  No pool starts once the deadline has passed, and closing
-    the generator early shuts the pool down.  Raises ValueError, before
-    any worker exists, unless n and jobs are ints (not bools) of at least
-    1, jobs is at most MAX_JOBS, and the budget is None or a finite
-    number of at least 0."""
+    the generator early shuts the pool down.  Raises ValueError at the
+    call, before any report is asked for or any worker exists, unless n
+    and jobs are ints (not bools) of at least 1, jobs is at most MAX_JOBS,
+    and the budget is None or a finite number of at least 0.  The budget
+    runs from the call."""
     for name, count in (("n", n), ("jobs", jobs)):
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise ValueError(f"{name} must be an int of at least 1, got {count!r}")
@@ -393,8 +394,12 @@ def iter_verify(
         raise ValueError(f"budget_seconds must be finite and at least 0, got {budget_seconds!r}")
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     if jobs == 1:
-        yield from _verify_each(all_permutations(n), deadline)
-        return
+        return _verify_each(all_permutations(n), deadline)
+    return _verify_pool(n, jobs, deadline)
+
+
+def _verify_pool(n: int, jobs: int, deadline: float | None) -> Iterator[VerificationReport]:
+    """The sweep of :func:`iter_verify` on a pool of jobs workers."""
     if deadline is not None and time.monotonic() >= deadline:
         return
     # imported here: it loads multiprocessing, which serial runs never use

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 import shlex
 import subprocess
 import sys
@@ -21,10 +22,12 @@ from pipedual.cli import (
     EXIT_FAIL,
     EXIT_PIPE,
     EXIT_USAGE,
+    _family_to_ascii,
     build_parser,
     main,
 )
-from pipedual.permutations import identity
+from pipedual.permutations import Permutation, all_permutations, identity, parse_permutation
+from pipedual.pipedreams import enumerate_rp
 from pipedual.transversals import (
     SetFamily,
     family_from_json,
@@ -623,6 +626,57 @@ class TestMaskWriter:
             _old_json_obj(family), separators=(",", ":")
         )
         assert family_to_text(family) == "\n".join(_format_member(m) for m in members)
+
+
+# the ascii writer as it was before it pictured masks: one set of box
+# tuples per dream, in members order, looked up tile by tile
+def _old_ascii(family):
+    n = family.n
+    pictures = []
+    for member in _old_members(family):
+        crosses = frozenset(member)
+        pictures.append("\n".join(
+            "".join(
+                "+" if (i, j) in crosses else "." if i + j <= n + 1 else " "
+                for j in range(1, n + 1)
+            )
+            for i in range(1, n + 1)
+        ))
+    return "\n\n".join(pictures)
+
+
+def _seeded_perms(n, count):
+    rng = random.Random(n)
+    for _ in range(count):
+        yield Permutation(tuple(rng.sample(range(1, n + 1), n)))
+
+
+class TestAsciiWriter:
+    """The ascii writer's bytes against the tile-by-tile reference, compared
+    picture by picture so that a failure names the first that differs."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_every_rp_family_of_sn(self, n):
+        for w in all_permutations(n):
+            rp = enumerate_rp(w)
+            assert _family_to_ascii(rp).split("\n\n") == _old_ascii(rp).split("\n\n"), w
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_seeded_draws(self, n):
+        for w in _seeded_perms(n, 20):
+            rp = enumerate_rp(w)
+            assert _family_to_ascii(rp).split("\n\n") == _old_ascii(rp).split("\n\n"), w
+
+    def test_large_family(self):
+        rp = enumerate_rp(parse_permutation("317529846"))
+        assert len(rp) == 11_564
+        assert _family_to_ascii(rp).split("\n\n") == _old_ascii(rp).split("\n\n")
+
+    def test_comma_permutation(self):
+        # 1, ..., 62, 64, 63: 63 one-box dreams on the 64 x 64 grid
+        rp = enumerate_rp(Permutation((*range(1, 63), 64, 63)))
+        assert len(rp) == 63
+        assert _family_to_ascii(rp).split("\n\n") == _old_ascii(rp).split("\n\n")
 
 
 class TestPinnedBytes:

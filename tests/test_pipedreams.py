@@ -53,6 +53,27 @@ class TestStaircaseInvariant:
     def test_accepts_full_staircase(self):
         PipeDream(5, frozenset(staircase_boxes(5)))
 
+    def test_names_the_first_off_staircase_tile_in_row_major_order(self):
+        tiles = [(4, 4), (3, 2), (1, 1), (2, 3), (4, 1)]
+        first = r"tile \(2, 3\) outside the staircase of the 4 x 4 grid"
+        for order in (tiles, tiles[::-1], frozenset(tiles)):
+            with pytest.raises(ValueError, match=first):
+                PipeDream(4, order)
+
+    @pytest.mark.parametrize("box", [(5, 1), (1, 5), (0, 2), (2, 0), (-1, 1)])
+    def test_rejects_a_tile_off_the_grid(self, box):
+        with pytest.raises(ValueError, match=r"outside the 4 x 4 grid"):
+            PipeDream(4, [(1, 1), box])
+
+    def test_one_box_set_in_any_order_is_one_dream(self):
+        boxes = [(1, 1), (2, 2), (1, 3), (3, 1)]
+        dreams = [PipeDream(4, order) for order in itertools.permutations(boxes)]
+        dreams.append(PipeDream(4, iter(boxes + boxes)))
+        assert len(set(dreams)) == 1 and all(d == dreams[0] for d in dreams)
+        assert len({hash(d) for d in dreams}) == 1
+        assert dreams[0].mask == pack(4, boxes) and dreams[0].n == 4
+        assert vars(dreams[0]) == {"n": 4, "mask": pack(4, boxes)}
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 12])
     def test_boxes_and_mask_are_row_plus_col_at_most_n(self, n):
         boxes = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1) if r + c <= n]
@@ -108,8 +129,8 @@ class TestIsReduced:
     @given(dream_st())
     def test_size_bounds_trace_length(self, d):
         l = length(trace(d))
-        assert len(d.crosses) >= l
-        assert (len(d.crosses) == l) == is_reduced(d)
+        assert d.mask.bit_count() >= l
+        assert (d.mask.bit_count() == l) == is_reduced(d)
 
 
 def _tile_walk_trace(n, mask):
@@ -298,7 +319,7 @@ class TestRenderAscii:
         assert all(len(line) == d.n for line in lines)
         for i, line in enumerate(lines, start=1):
             for j, ch in enumerate(line, start=1):
-                if (i, j) in d.crosses:
+                if d.mask >> (i - 1) * d.n + j - 1 & 1:
                     assert ch == "+"
                 elif i + j <= d.n + 1:
                     assert ch == "."

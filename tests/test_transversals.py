@@ -442,6 +442,16 @@ class TestTransversalDual:
         assert time.perf_counter() - start < 2
         assert dual == SetFamily(n, [1])
 
+    def test_deep_search_of_disjoint_singletons_in_under_a_second(self):
+        # one chain of 3,200 nodes: a lane per node made it 5.4 s, since each
+        # child copied every lane; a first cell whose member has no other
+        # cell carries none
+        masks = [1 << i for i in range(3200)]
+        start = time.perf_counter()
+        found, rejects = transversals._mmcs(masks)
+        assert time.perf_counter() - start < 1
+        assert (found, rejects) == ([(1 << 3200) - 1], [])
+
     @given(antichain_st())
     def test_double_dual_fixes_antichains(self, family):
         assert transversal_dual(transversal_dual(family)) == family

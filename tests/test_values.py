@@ -29,11 +29,13 @@ _W = Permutation((2, 1, 3))
 _FAIL = CheckResult(False, SetFamily.from_sets(3, [[(1, 1)], [(2, 1), (1, 2)]]))
 _REPORT = VerificationReport(_W, {CHECK_DUALITY: _FAIL}, {"seen": 1})
 
-# class -> (fields, one field changed); the fields are given in order
+# class -> (fields, one field changed); the fields are given in order.  A
+# PipeDream is built from boxes and holds their mask: STORED gives the fields
+# of a class whose constructor arguments are not its fields
 FROZEN = {
     Permutation: ({"images": (2, 1, 3)}, {"images": (1, 2, 3)}),
     RankMatrix: ({"n": 2, "entries": ((0, 1), (1, 2))}, {"n": 3}),
-    PipeDream: ({"n": 3, "crosses": frozenset({(1, 1), (1, 2)})}, {"crosses": frozenset()}),
+    PipeDream: ({"n": 3, "crosses": ((1, 2), (1, 1))}, {"crosses": ()}),
     Antidiagonal: ({"boxes": ((1, 2), (2, 1))}, {"boxes": ((1, 1),)}),
     Polynomial: ({"terms": (((2, 1), 1), ((1,), 3))}, {"terms": ()}),
     SetFamily: ({"n": 2, "masks": frozenset({1, 6})}, {"masks": frozenset({2})}),
@@ -50,6 +52,7 @@ MUTABLE = {
     ),
 }
 ALL = {**FROZEN, **MUTABLE}
+STORED = {PipeDream: {"n": 3, "mask": 0b11}}
 
 
 def ids(cls):
@@ -61,7 +64,8 @@ class TestEveryClass:
     def test_keyword_and_positional_construction_agree(self, cls):
         fields, _ = ALL[cls]
         value = cls(**fields)
-        assert {name: getattr(value, name) for name in fields} == fields
+        stored = STORED.get(cls, fields)
+        assert {name: getattr(value, name) for name in stored} == stored
         assert cls(*fields.values()) == value
 
     def test_equality_by_field(self, cls):
@@ -97,7 +101,7 @@ class TestEveryClass:
 @pytest.mark.parametrize("cls", [c for c in ALL if c is not SetFamily], ids=ids)
 def test_repr_names_each_field(cls):
     fields, _ = ALL[cls]
-    listed = ", ".join(f"{name}={v!r}" for name, v in fields.items())
+    listed = ", ".join(f"{name}={v!r}" for name, v in STORED.get(cls, fields).items())
     assert repr(cls(**fields)) == f"{cls.__name__}({listed})"
 
 
@@ -111,7 +115,7 @@ class TestFrozen:
     def test_fields_are_read_only(self, cls):
         fields, changed = FROZEN[cls]
         value = cls(**fields)
-        for name in fields:
+        for name in STORED.get(cls, fields):
             with pytest.raises(AttributeError):
                 setattr(value, name, changed.get(name, 0))
             with pytest.raises(AttributeError):

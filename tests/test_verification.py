@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import pipedual.transversals as transversals
 import pipedual.verification as verification
 from pipedual.antidiagonals import antidiagonal_family, antidiagonals_in_rectangle
-from pipedual.grid import Lanes, staircase_boxes
+from pipedual.grid import Lanes, pack, staircase_boxes
 from pipedual.permutations import (
     Permutation,
     all_permutations,
@@ -159,7 +159,7 @@ def brute_max_elbow(dream, p, q):
     every crossing; a crossing-free antidiagonal stays so when shrunk."""
     k = 0
     while any(
-        dream.crosses.isdisjoint(a.boxes)
+        not dream.mask & pack(dream.n, a.boxes)
         for a in antidiagonals_in_rectangle(p, q, k + 1)
     ):
         k += 1
@@ -504,6 +504,22 @@ class TestVerifyRange:
             next(iter_verify(4, jobs=jobs))
         with pytest.raises(ValueError, match="jobs must be an int of at least 1"):
             verify_range(4, jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0,), "n must be an int"),
+            ((4, None, 0), "jobs must be an int"),
+            ((4, None, 2.5), "jobs must be an int"),
+            ((4, None, 257), "jobs must be at most 256"),
+            ((4, -1.0), "budget_seconds must be finite"),
+            ((4, math.nan, 2), "budget_seconds must be finite"),
+        ],
+    )
+    def test_raises_at_the_call_not_at_the_first_report(self, monkeypatch, args, message):
+        self._no_pool(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            iter_verify(*args)
 
     def test_chunk_stops_at_the_deadline(self):
         chunk = tuple(w.images for w in all_permutations(3))
