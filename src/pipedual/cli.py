@@ -26,15 +26,15 @@ import math
 import os
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import pipedual
 
-from .grid import cells
 from .permutations import Permutation, parse_permutation
 from .transversals import (
     FamilyFormatError,
     SetFamily,
+    _ordered,
     family_from_json,
     family_to_json,
     family_to_text,
@@ -86,11 +86,13 @@ def _family_of(token: str) -> SetFamily:
         raise _CliError(EXIT_BAD_JSON, str(exc)) from None
 
 
-def _family_to_ascii(family: SetFamily) -> str:
-    # the dreams in members order, pictured straight from their masks
+def _family_to_ascii(family: SetFamily) -> Iterator[str]:
+    # the dreams in canonical order, pictured straight from their masks,
+    # one at a time; each but the first leads with the blank line before it
     from .pipedreams import _pictures
 
-    return "\n\n".join(_pictures(family.n, sorted(family.masks, key=cells)))
+    for i, picture in enumerate(_pictures(family.n, _ordered(tuple(family.masks)))):
+        yield "\n" + picture if i else picture
 
 
 _FAMILY = {"text": family_to_text, "json": family_to_json}
@@ -128,11 +130,13 @@ _QUERIES = {
 
 def _run_query(args) -> int:
     positional, build, writers, _ = _QUERIES[args.command]
-    text = writers[args.format](build(getattr(args, positional)))
-    # text output prints nothing for an empty family.  The ascii writer
-    # never comes back empty: every permutation has a reduced pipe dream
-    if text:
-        print(text)
+    out = writers[args.format](build(getattr(args, positional)))
+    # a writer gives one string, or yields pieces to print as they come.
+    # Text output prints nothing for an empty family.  The ascii writer
+    # never yields none: every permutation has a reduced pipe dream
+    for text in [out] if isinstance(out, str) else out:
+        if text:
+            print(text)
     return EXIT_OK
 
 

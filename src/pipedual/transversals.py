@@ -13,7 +13,7 @@ it holds no pool of candidate transversals.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import reduce
 from itertools import repeat, starmap
 from operator import or_
@@ -206,10 +206,10 @@ def dual_with_nonminimal(family: SetFamily) -> tuple[SetFamily, SetFamily]:
     return SetFamily(family.n, dual), SetFamily(family.n, rejects)
 
 
-def _sorted_rows(masks: tuple[int, ...], at: list[int]) -> list[bytes]:
-    """The byte plane of the masks in canonical order: one row per mask,
-    sorted, of its key and then its own bytes at the byte positions
-    ``at``, those that some mask touches, ascending.
+def _rows(masks: Sequence[int], at: list[int]) -> tuple[bytes, ...]:
+    """The byte plane of the masks: one row per mask, in their order, of
+    its key and then its own bytes at the byte positions ``at``, those
+    that some mask touches, ascending, so distinct masks have distinct rows.
 
     The key of a mask m is ``m ^ ((1 << m.bit_length()) - 1)``, the
     complement of m below its own top cell, with each byte's bits reversed
@@ -238,8 +238,8 @@ def _sorted_rows(masks: tuple[int, ...], at: list[int]) -> list[bytes]:
     True
     >>> all(_SMEAR[v] + 1 == 1 << v.bit_length() and _NONZERO[v] == (v and 255) for v in range(256))
     True
-    >>> _sorted_rows((0b10, 0b11, 0b1), [0])  # {1}, {0, 1}, {0}: the last two tie
-    [b'\\x00\\x01', b'\\x00\\x03', b'\\x80\\x02']
+    >>> _rows((0b10, 0b11, 0b1), [0])  # {1}, {0, 1}, {0}: the last two tie
+    (b'\\x80\\x02', b'\\x00\\x03', b'\\x00\\x01')
     """
     import struct  # here, not at the top: only the family writers read it
 
@@ -259,11 +259,17 @@ def _sorted_rows(masks: tuple[int, ...], at: list[int]) -> list[bytes]:
         rows[k::2 * width] = key.translate(_REVERSED)
         rows[width + k::2 * width] = col
         later |= int.from_bytes(col.translate(_NONZERO), "little")
-    return sorted(struct.Struct(f"{2 * width}s" * count).unpack(rows))
+    return struct.Struct(f"{2 * width}s" * count).unpack(rows)
+
+
+def _ordered(masks: Sequence[int]) -> list[int]:
+    """The masks in canonical order, argsorted by their :func:`_rows`."""
+    rows = _rows(masks, sorted({c // 8 for c in cells(reduce(or_, masks, 0))}))
+    return [masks[i] for i in sorted(range(len(masks)), key=rows.__getitem__)]
 
 
 def _write(family: SetFamily, box: str, sep: str, brackets: str, after: str) -> str:
-    """The members in canonical order (see :func:`_sorted_rows`), each its
+    """The members in canonical order (see :func:`_rows`), each its
     boxes ``box.format(r, c)`` joined by ``sep`` in ``brackets``, joined by
     ``after``.  Per byte position j that some member touches, a member's
     fragment is its boxes in cells 8j to 8j + 7, each with ``sep`` before
@@ -277,7 +283,7 @@ def _write(family: SetFamily, box: str, sep: str, brackets: str, after: str) -> 
     # per cell that some member holds: its box, written with sep before it
     names = dict(zip(cells(union), starmap((sep + box).format, boxes(family.n, union))))
     at = sorted({c // 8 for c in names})
-    rows = _sorted_rows(masks, at)
+    rows = sorted(_rows(masks, at))
     blob, width, slots = b"".join(rows), len(at), len(at) + 2
     out = [brackets[0]] * (len(rows) * slots)
     for k, j in enumerate(at):

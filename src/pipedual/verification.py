@@ -24,7 +24,7 @@ from itertools import islice, permutations
 
 from . import MAX_JOBS
 from .antidiagonals import antidiagonal_family
-from .grid import Lanes, Record, cells, pack, staircase_mask
+from .grid import Lanes, Record, pack, staircase_mask
 from .permutations import (
     Permutation,
     all_permutations,
@@ -37,6 +37,7 @@ from .permutations import (
 from .pipedreams import PipeDream, enumerate_rp, reduced_traces, trace_lanes
 from .transversals import (
     SetFamily,
+    _ordered,
     dual_with_nonminimal,
     family_to_json,
     minimalize,
@@ -165,7 +166,7 @@ def _check_rank_antidiagonal(w: Permutation, rp: Lanes) -> CheckResult:
         return CheckResult(True)
     # the witness is the first offender in members order, with its first
     # failing (p, q) in row-major order, recomputed on its mask alone
-    mask = min(rp.select(bad), key=cells)
+    mask = _ordered(rp.select(bad))[0]
     for p, steps in enumerate(rows, 1):
         if diff := _antidiagonal_steps(n, mask, p) ^ steps:
             corner = pack(n, [(p, (diff & -diff).bit_length())])

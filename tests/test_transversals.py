@@ -17,6 +17,7 @@ from pipedual.pipedreams import PipeDream, enumerate_rp, render_ascii
 from pipedual.transversals import (
     FamilyFormatError,
     SetFamily,
+    _ordered,
     dual_with_nonminimal,
     family_from_json,
     family_from_json_obj,
@@ -216,6 +217,7 @@ class TestMemberOrder:
             for m in sorted(map(bit_indices, family.masks))
         ]
         assert family.members == tuple(order)
+        assert _ordered(tuple(family.masks)) == sorted(family.masks, key=bit_indices)
         assert json.loads(family_to_json(family))["members"] == [
             [[r, c] for (r, c) in m] for m in order
         ]
@@ -226,7 +228,7 @@ class TestMemberOrder:
         # members only
         stair = [m for m in order if all(r + c <= n for (r, c) in m)][-4:]
         blocks = [render_ascii(PipeDream(n, frozenset(m))) for m in stair]
-        assert _family_to_ascii(SetFamily.from_sets(n, stair)) == "\n\n".join(blocks)
+        assert "\n".join(_family_to_ascii(SetFamily.from_sets(n, stair))) == "\n\n".join(blocks)
 
     def test_keys_follow_the_union_not_the_grid(self):
         # 40 members on the 2000 x 2000 grid, all near its last cell: keys
@@ -246,6 +248,7 @@ class TestMemberOrder:
         ]
         assert text == "\n".join("{" + ", ".join(f"({r},{c})" for r, c in m) + "}" for m in order)
         assert peak < 16 * 2**20
+        assert _ordered(tuple(family.masks)) == sorted(family.masks, key=bit_indices)
 
     def test_plane_follows_the_union_not_the_grid(self):
         # 500 one-box members in row 1 and one at the last cell of the
