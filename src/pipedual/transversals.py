@@ -210,22 +210,10 @@ def _rows(masks: Sequence[int], at: list[int]) -> tuple[bytes, ...]:
     """The byte plane of the masks: one row per mask, in their order, of
     its key and then its own bytes at the byte positions ``at``, those
     that some mask touches, ascending, so distinct masks have distinct rows.
-
     The key of a mask m is ``m ^ ((1 << m.bit_length()) - 1)``, the
     complement of m below its own top cell, with each byte's bits reversed
-    (``grid._REVERSED``) so that keys compare from the lowest cell.  Rows then
-    sort as the members' cell lists do.  Let a' be a with every cell above
-    a's top; the key of a is the complement of a'.  If a' != b', the member
-    whose primed set holds the lowest cell x where they differ comes
-    first, say a: a' and b' agree below x, and b lacks x but has a cell
-    above it, its top.  So either x is in a, where b's list goes on with
-    a larger cell, or x is above a's top and a is a prefix of b.  Only
-    b's key holds x, so a's is the smaller.  If a' = b', one member is the
-    other plus a run of cells just above its top, so it is the longer
-    one: the keys tie, and its bytes, a superset, are the larger.
-    Dropping the positions that no member touches (0 in every mask, 0 or
-    0xFF in every key) renumbers the cells in order, which keeps both
-    orders.
+    (``grid._REVERSED``); :func:`_sorted_rows` says why the rows sort as
+    the members' cell lists do.
 
     Masks are written in chunks of at most ``_PLANE_BYTES`` bytes, one
     ``to_bytes`` each, and sliced once per touched position, so a sparse
@@ -262,14 +250,38 @@ def _rows(masks: Sequence[int], at: list[int]) -> tuple[bytes, ...]:
     return struct.Struct(f"{2 * width}s" * count).unpack(rows)
 
 
+def _sorted_rows(masks: Sequence[int], at: list[int]) -> list[bytes]:
+    """The rows of :func:`_rows`, sorted: the byte plane of the masks in
+    canonical order.
+
+    Keys compare from the lowest cell, so rows sort as the members' cell
+    lists do.  Let a' be a with every cell above a's top; the key of a is
+    the complement of a'.  If a' != b', the member whose primed set holds
+    the lowest cell x where they differ comes first, say a: a' and b'
+    agree below x, and b lacks x but has a cell above it, its top.  So
+    either x is in a, where b's list goes on with a larger cell, or x is
+    above a's top and a is a prefix of b.  Only b's key holds x, so a's is
+    the smaller.  If a' = b', one member is the other plus a run of cells
+    just above its top, so it is the longer one: the keys tie, and its
+    bytes, a superset, are the larger.  Dropping the positions that no
+    member touches (0 in every mask, 0 or 0xFF in every key) renumbers the
+    cells in order, which keeps both orders.
+
+    >>> _sorted_rows((0b10, 0b11, 0b1), [0])  # {1}, {0, 1}, {0}: the last two tie
+    [b'\\x00\\x01', b'\\x00\\x03', b'\\x80\\x02']
+    """
+    return sorted(_rows(masks, at))
+
+
 def _ordered(masks: Sequence[int]) -> list[int]:
-    """The masks in canonical order, argsorted by their :func:`_rows`."""
+    """The masks in canonical order, argsorted by their :func:`_rows`
+    (see :func:`_sorted_rows`)."""
     rows = _rows(masks, sorted({c // 8 for c in cells(reduce(or_, masks, 0))}))
     return [masks[i] for i in sorted(range(len(masks)), key=rows.__getitem__)]
 
 
 def _write(family: SetFamily, box: str, sep: str, brackets: str, after: str) -> str:
-    """The members in canonical order (see :func:`_rows`), each its
+    """The members in canonical order (see :func:`_sorted_rows`), each its
     boxes ``box.format(r, c)`` joined by ``sep`` in ``brackets``, joined by
     ``after``.  Per byte position j that some member touches, a member's
     fragment is its boxes in cells 8j to 8j + 7, each with ``sep`` before
@@ -283,7 +295,7 @@ def _write(family: SetFamily, box: str, sep: str, brackets: str, after: str) -> 
     # per cell that some member holds: its box, written with sep before it
     names = dict(zip(cells(union), starmap((sep + box).format, boxes(family.n, union))))
     at = sorted({c // 8 for c in names})
-    rows = sorted(_rows(masks, at))
+    rows = _sorted_rows(masks, at)
     blob, width, slots = b"".join(rows), len(at), len(at) + 2
     out = [brackets[0]] * (len(rows) * slots)
     for k, j in enumerate(at):
