@@ -131,12 +131,13 @@ _QUERIES = {
 def _run_query(args) -> int:
     positional, build, writers, _ = _QUERIES[args.command]
     out = writers[args.format](build(getattr(args, positional)))
-    # a writer gives one string, or yields pieces to print as they come.
-    # Text output prints nothing for an empty family.  The ascii writer
-    # never yields none: every permutation has a reduced pipe dream
-    for text in [out] if isinstance(out, str) else out:
-        if text:
-            print(text)
+    # a writer gives one string, or yields pieces to write as they come,
+    # each as a line.  Text output writes nothing for an empty family.  The
+    # newline is a write of its own: with PYTHONUNBUFFERED set, a reader that
+    # leaves mid-text cuts that write short without an error, and only the
+    # next write raises BrokenPipeError
+    texts = [out] if isinstance(out, str) else out
+    sys.stdout.writelines(piece for text in texts if text for piece in (text, "\n"))
     return EXIT_OK
 
 
@@ -261,6 +262,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
 
-
-if __name__ == "__main__":
-    sys.exit(main())

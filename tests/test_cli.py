@@ -9,11 +9,11 @@ import shlex
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
+from peaks import fresh, traced
 
 from pipedual import MAX_JOBS, cli
 from pipedual.cli import (
@@ -172,47 +172,32 @@ class TestDual:
         cells = [(r, c) for r in range(1, 41) for c in range(1, 41)]
         path = tmp_path / "singletons.json"
         path.write_text(json.dumps({"n": 40, "members": [[[r, c]] for r, c in cells]}))
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, "dual", str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (code, out, err), peak = traced(run_cli, capsys, "dual", str(path))
         assert code == 0 and err == ""
         assert out == _format_member(cells) + "\n"
-        assert peak < 32 * 2**20
+        assert peak < 32
 
     # one box in the last row of the largest grid makes a mask of about
     # 2 MiB; the masks of a family read from JSON may take 64 MiB in all
     def test_family_over_the_mask_bound_exits_3(self, capsys, tmp_path):
         path = tmp_path / "over.json"
         path.write_text(json.dumps({"n": 4096, "members": [[[4096, 4096]]] * 33}))
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, "dual", str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (code, out, err), peak = traced(run_cli, capsys, "dual", str(path))
         assert code == EXIT_BAD_JSON and out == ""
         assert err == "error: the members' masks would take over 64 MiB\n"
         # 33 masks of 2 MiB: rejected before one of them is built
-        assert peak < 2**20
+        assert peak < 1
 
     def test_family_under_the_mask_bound_dualizes(self, capsys, tmp_path):
         row = [(4096, c) for c in range(4065, 4097)]  # 32 masks, just under 64 MiB
         path = tmp_path / "under.json"
         path.write_text(json.dumps({"n": 4096, "members": [[[1, 1], box] for box in row]}))
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, "dual", str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (code, out, err), peak = traced(run_cli, capsys, "dual", str(path))
         assert (code, err) == (0, "")
         assert out == "{(1,1)}\n" + _format_member(row) + "\n"
         # the 32 masks take 64 MiB; MMCS keys its per-cell tables by bit
         # index, so it adds no 2 MiB one-bit key per cell
-        assert peak < 110 * 2**20
+        assert peak < 110
 
     def test_eight_full_rows_dualize_in_under_3_seconds(self, capsys, tmp_path):
         # the last eight rows of the 4096 x 4096 grid, each with (1, 1), and
@@ -681,24 +666,14 @@ class TestAsciiWriter:
     def test_pictures_stream(self):
         # 1, ..., 254, 256, 255: 255 one-box pictures of the 256 x 256 grid,
         # 16.8 MB in all.  Printed as they are drawn, one at a time, they
-        # peak near 20 MiB RSS; joined before printing, at 48 MiB.  A fresh
-        # interpreter runs the command and reports its peak: a command
-        # spawned from this process would start in this process's address
-        # space, and its peak would count that space's
-        probe = (
-            "import hashlib, resource, subprocess, sys\n"
-            "run = subprocess.run(sys.argv[1:], capture_output=True)\n"
-            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux\n"
-            "print(run.returncode, run.stderr == b'', hashlib.sha256(run.stdout).hexdigest(), peak)\n"
-        )
+        # peak near 20 MiB RSS; joined before printing, at 48 MiB
         perm = ",".join(map(str, [*range(1, 255), 256, 255]))
-        argv = [sys.executable, "-c", probe, sys.executable, "-m", "pipedual", "rp", perm]
-        proc = subprocess.run([*argv, "--format", "ascii"], capture_output=True, text=True)
-        code, quiet, digest, peak = proc.stdout.split()
-        assert (code, quiet, digest) == (
-            "0", "True", "799af1046433f90a35afb533129ac596e169cf62471d4500339c69811166e823"
+        argv = [sys.executable, "-m", "pipedual", "rp", perm, "--format", "ascii"]
+        code, out, err, peak = fresh(argv)
+        assert (code, err, hashlib.sha256(out).hexdigest()) == (
+            0, b"", "799af1046433f90a35afb533129ac596e169cf62471d4500339c69811166e823"
         )
-        assert float(peak) < 32
+        assert peak < 32
 
 
 class TestPinnedBytes:
@@ -742,15 +717,10 @@ def test_output_cost_follows_boxes_not_grid(capsys, tmp_path):
     # would take about 400 MB
     path = tmp_path / "far.json"
     path.write_text('{"n": 2000, "members": [[[1, 1]], [[2000, 2000]]]}')
-    tracemalloc.start()
-    try:
-        code = main(["dual", str(path), "--format", "json"])
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced(main, ["dual", str(path), "--format", "json"])
     assert code == 0
     assert capsys.readouterr().out == '{"n":2000,"members":[[[1,1],[2000,2000]]]}\n'
-    assert peak < 50 * 2**20
+    assert peak < 50
 
 
 class TestArguments:
@@ -822,8 +792,10 @@ class TestEntryPoint:
     def test_closed_stdout_exits_quietly(self, args, first):
         # head stops reading after one line, long before the output ends.
         # pipedual's stderr is the captured pipe, which run() reads to its
-        # end, so a worker left holding it fails the test by the timeout
-        command = f"{shlex.quote(sys.executable)} -m pipedual {args} | head -1"
+        # end, so a worker left holding it fails the test by the timeout.
+        # Unbuffered, a write that the reader's exit cuts short raises
+        # nothing, so only a later write can report the closed pipe
+        command = f"PYTHONUNBUFFERED=1 {shlex.quote(sys.executable)} -m pipedual {args} | head -1"
         proc = subprocess.run(
             ["bash", "-c", command + '; exit "${PIPESTATUS[0]}"'],
             capture_output=True,

@@ -5,9 +5,9 @@ against one mask at a time, at the lane boundaries: n = 1, n = 8 (whose
 identity."""
 
 import random
-import tracemalloc
 
 import pytest
+from peaks import traced
 from test_pipedreams import _tile_walk_trace
 
 from pipedual import verification
@@ -73,14 +73,9 @@ class TestLayout:
         # 74,256 lanes of 11 bytes: filling one buffer peaks at 3.4 MiB,
         # where joining one bytes object per mask peaked at 10.2 MiB
         masks = enumerate_rp(parse_permutation("124938765")).masks
-        tracemalloc.start()
-        try:
-            lanes = Lanes(9, masks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        lanes, peak = traced(Lanes, 9, masks)
         assert lanes.count == len(masks) == 74256
-        assert peak < 5 * 2**20, f"{peak / 2**20:.2f} MiB"
+        assert peak < 5, f"{peak:.2f} MiB"
 
     @pytest.mark.parametrize("n", SIZES)
     def test_empty_family(self, n):

@@ -1,8 +1,8 @@
 import itertools
-import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
+from peaks import traced
 
 from pipedual.permutations import (
     Permutation,
@@ -85,13 +85,8 @@ class TestRank:
     def test_reads_one_prefix_set(self):
         # no n x n table: at n = 600 that peaks at about 6 MiB
         w = identity(600)
-        tracemalloc.start()
-        try:
-            value = rank(w, 1, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert value == 1 and peak < 2**20
+        value, peak = traced(rank, w, 1, 1)
+        assert value == 1 and peak < 1
 
     @given(perm_st())
     def test_full_rank_is_n(self, w):
@@ -179,13 +174,8 @@ class TestBruhat:
     def test_builds_no_rank_table(self):
         # two n x n tables at n = 600 peak at about 10 MiB
         v, w = reversal(600), identity(600)
-        tracemalloc.start()
-        try:
-            above = bruhat_geq(v, w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert above and peak < 2**20
+        above, peak = traced(bruhat_geq, v, w)
+        assert above and peak < 1
 
     def test_antisymmetric_on_s4(self):
         perms = list(all_permutations(4))

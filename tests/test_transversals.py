@@ -1,12 +1,12 @@
 import json
 import random
 import time
-import tracemalloc
 from contextlib import contextmanager
 
 import pytest
 from bit_oracle import bit_indices
 from hypothesis import example, given, strategies as st
+from peaks import traced
 
 from pipedual import transversals
 from pipedual.antidiagonals import antidiagonal_family
@@ -237,17 +237,12 @@ class TestMemberOrder:
         near = [(r, c) for r in range(n - 5, n + 1) for c in range(n - 5, n + 1)]
         rng = random.Random(2000)
         family = SetFamily.from_sets(n, [rng.sample(near, 3) for _ in range(40)])
-        tracemalloc.start()
-        try:
-            text = family_to_text(family)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        text, peak = traced(family_to_text, family)
         order = [
             [(i // n + 1, i % n + 1) for i in m] for m in sorted(map(bit_indices, family.masks))
         ]
         assert text == "\n".join("{" + ", ".join(f"({r},{c})" for r, c in m) + "}" for m in order)
-        assert peak < 16 * 2**20
+        assert peak < 16
         assert _ordered(tuple(family.masks)) == sorted(family.masks, key=bit_indices)
 
     def test_plane_follows_the_union_not_the_grid(self):
@@ -256,17 +251,12 @@ class TestMemberOrder:
         # once would take 501 x 125,000 bytes, about 60 MB
         n = 1000
         family = SetFamily.from_sets(n, [[(1, c)] for c in range(1, 501)] + [[(n, n)]])
-        tracemalloc.start()
-        try:
-            text = family_to_json(family)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        text, peak = traced(family_to_json, family)
         order = [
             [[i // n + 1, i % n + 1] for i in m] for m in sorted(map(bit_indices, family.masks))
         ]
         assert json.loads(text)["members"] == order
-        assert peak < 8 * 2**20
+        assert peak < 8
 
     @pytest.mark.parametrize(
         "n, run",

@@ -7,10 +7,10 @@ import math
 import multiprocessing
 import random
 import time
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from peaks import traced
 
 import pipedual.transversals as transversals
 import pipedual.verification as verification
@@ -683,14 +683,9 @@ class TestSinglePass:
         # family is dropped before they run; with it kept through them,
         # the peak reads 3.33 MiB
         w = parse_permutation("317529846")
-        tracemalloc.start()
-        try:
-            report = verify_permutation(w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced(verify_permutation, w)
         assert report.passed
-        assert peak < 2.8 * 2**20
+        assert peak < 2.8
 
     def test_matches_the_public_checks_over_s5(self):
         for w in all_permutations(5):
