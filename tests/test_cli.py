@@ -4,7 +4,6 @@ import functools
 import hashlib
 import itertools
 import json
-import random
 import shlex
 import subprocess
 import sys
@@ -12,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from draws import sampled
 from hypothesis import example, given, strategies as st
 from peaks import fresh, traced
 
@@ -630,12 +630,6 @@ def _old_ascii(family):
     return "\n\n".join(pictures)
 
 
-def _seeded_perms(n, count):
-    rng = random.Random(n)
-    for _ in range(count):
-        yield Permutation(tuple(rng.sample(range(1, n + 1), n)))
-
-
 class TestAsciiWriter:
     """The ascii writer's bytes against the tile-by-tile reference, compared
     picture by picture so that a failure names the first that differs."""
@@ -648,7 +642,7 @@ class TestAsciiWriter:
 
     @pytest.mark.parametrize("n", [7, 8, 9])
     def test_seeded_draws(self, n):
-        for w in _seeded_perms(n, 20):
+        for w in sampled(n, 20):
             rp = enumerate_rp(w)
             assert "\n".join(_family_to_ascii(rp)).split("\n\n") == _old_ascii(rp).split("\n\n"), w
 

@@ -2,21 +2,15 @@
 the oracle's criterion against the brute-force enumerator."""
 
 import itertools
-import random
 
 import pytest
+from draws import sampled
 from subword_oracle import demazure, flagged_members, staircase_word
 
 from pipedual.antidiagonals import antidiagonal_family
 from pipedual.grid import cells, pack, staircase_boxes, staircase_mask
-from pipedual.permutations import Permutation, all_permutations, bruhat_geq, reversal
+from pipedual.permutations import all_permutations, bruhat_geq, reversal
 from pipedual.pipedreams import enumerate_rp_bruteforce
-
-
-def seeded_draws(n, count, seed):
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield Permutation(tuple(rng.sample(range(1, n + 1), n)))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -49,7 +43,7 @@ def test_exhaustive(n):
 
 @pytest.mark.parametrize("n", [7, 8, 9])
 def test_seeded_draws(n):
-    for w in seeded_draws(n, 20, n):
+    for w in sampled(n, 20):
         assert flagged_members(w) == [], w
 
 

@@ -5,6 +5,7 @@ from contextlib import contextmanager
 
 import pytest
 from bit_oracle import bit_indices
+from draws import sampled
 from hypothesis import example, given, strategies as st
 from peaks import traced
 
@@ -12,7 +13,7 @@ from pipedual import transversals
 from pipedual.antidiagonals import antidiagonal_family
 from pipedual.cli import _family_to_ascii
 from pipedual.grid import pack, staircase_boxes
-from pipedual.permutations import Permutation, all_permutations, parse_permutation
+from pipedual.permutations import all_permutations, parse_permutation
 from pipedual.pipedreams import PipeDream, enumerate_rp, render_ascii
 from pipedual.transversals import (
     FamilyFormatError,
@@ -182,16 +183,11 @@ def order_case_st():
     return st.sampled_from([16, 17, 256, 257]).flatmap(build)
 
 
-def s9_draws(count=50):
-    rng = random.Random(9)
-    return [Permutation(tuple(rng.sample(range(1, 10), 9))) for _ in range(count)]
-
-
 class TestMemberOrder:
     @pytest.mark.parametrize(
         "perms",
         [pytest.param(list(all_permutations(n)), id=f"S{n}") for n in range(1, 7)]
-        + [pytest.param(s9_draws(), id="S9-draws")],
+        + [pytest.param(sampled(9, 50), id="S9-draws")],
     )
     def test_writers_follow_members_on_rp_and_ad(self, perms):
         # members sorts box tuples; the writers sort byte-plane rows, an

@@ -9,6 +9,7 @@ import random
 import time
 
 import pytest
+from draws import sampled
 from hypothesis import given, settings, strategies as st
 from peaks import traced
 
@@ -776,11 +777,6 @@ def corrupted_pairs(w, rng):
     yield "moved_cell", rp, SetFamily(n, set(ad.masks) - {a} | {moved})
 
 
-def seeded_draws(n, count):
-    rng = random.Random(n)
-    return [Permutation(tuple(rng.sample(range(1, n + 1), n))) for _ in range(count)]
-
-
 class TestCertificate:
     """dual(AD) == RP certifies dual(RP) = min(AD), by the identity
     dual(dual(H)) = min(H); the derived dual(RP) against MMCS on RP."""
@@ -798,13 +794,13 @@ class TestCertificate:
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_holds_exactly_when_mmcs_agrees_on_seeded_draws(self, n):
-        for w in seeded_draws(n, 20):
+        for w in sampled(n, 20):
             self._check(w)
 
     def _corrupted_cases(self):
         rng = random.Random(2024)
         for n in (4, 5, 6, 7, 8, 9):
-            for w in seeded_draws(n, 8 if n < 8 else 4):
+            for w in sampled(n, 8 if n < 8 else 4):
                 if w != identity(n):
                     for kind, rp, ad in corrupted_pairs(w, rng):
                         yield w, kind, rp, ad
