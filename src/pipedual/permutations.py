@@ -21,16 +21,21 @@ True
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from operator import or_
 
 from .grid import Frozen
 
 
 class Permutation(Frozen):
-    """A permutation w of {1..n}; ``images[i-1] == w(i)``."""
+    """A permutation w of {1..n}; ``images[i-1] == w(i)``, held as a tuple
+    of ints.  An image of another type, ``bool`` and ``float`` included,
+    raises ValueError."""
 
-    def __init__(self, images: tuple[int, ...]):
+    def __init__(self, images: Iterable[int]):
+        images = tuple(images)
+        if {*map(type, images)} - {int}:
+            raise ValueError(f"images must be of type int: {images!r}")
         n = len(images)
         if n < 1 or sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images!r}")

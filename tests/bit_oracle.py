@@ -1,5 +1,6 @@
 """Reference decoder for bit masks, independent of ``grid.cells`` and its
-byte table: it reads the mask's binary numeral, one digit per bit.
+byte table: it reads the mask's binary numeral, one digit per bit.  The
+writers' member order and member text are checked against it.
 """
 
 
@@ -15,3 +16,15 @@ def bit_indices(mask):
         out.append(i)
         i = digits.find("1", i + 1)
     return out
+
+
+def canonical_members(family):
+    """The members as box tuples in canonical order: sorted by their lists
+    of cell indices, which sort as their box tuples do."""
+    n, order = family.n, sorted(map(bit_indices, family.masks))
+    return tuple(tuple((i // n + 1, i % n + 1) for i in cells) for cells in order)
+
+
+def member_text(member):
+    """The ``{(r,c), (r,c)}`` text of a member given as box tuples."""
+    return "{" + ", ".join(f"({r},{c})" for r, c in member) + "}"

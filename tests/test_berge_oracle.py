@@ -89,10 +89,11 @@ class TestOracle:
 
 
 def assert_same_duals(family):
-    """MMCS against Berge, through both readers of the one MMCS search."""
+    """MMCS's (dual, rejects), checked against Berge through both readers."""
     dual_and_rejects = dual_with_nonminimal(family)
     assert dual_and_rejects == berge_dual_with_nonminimal(family)
     assert transversal_dual(family) == dual_and_rejects[0]
+    return dual_and_rejects
 
 
 def tabulate_lanes(monkeypatch, family, lanes):
@@ -136,7 +137,6 @@ class TestMmcsAgainstBerge:
     @example(SetFamily(3, [0, 0b101, 0b11]))
     @example(SetFamily.from_sets(3, [[(1, 1)], [(1, 1), (2, 2)], [(1, 1)]]))
     def test_families(self, family):
-        assert transversal_dual(family) == berge_dual(family)
         assert_same_duals(family)
 
     @pytest.mark.parametrize(
@@ -178,17 +178,15 @@ class TestMmcsAgainstBerge:
     )
     def test_deferred_member_edge_cases(self, n, sets, rejects):
         family = SetFamily.from_sets(n, sets)
-        assert dual_with_nonminimal(family)[1] == SetFamily.from_sets(n, rejects)
-        assert_same_duals(family)
+        assert assert_same_duals(family)[1] == SetFamily.from_sets(n, rejects)
 
     def test_two_far_boxes(self):
         # the last member is the top bit of a 4,000,000-bit mask: a list of
         # its cells that tests every bit index would take minutes
         family = SetFamily(2000, [1, 1 << (2000 * 2000 - 1)])
-        dual, rejects = dual_with_nonminimal(family)
+        dual, rejects = assert_same_duals(family)
         assert dual.members == (((1, 1), (2000, 2000)),)
         assert len(rejects) == 0
-        assert_same_duals(family)
 
     # MMCS keeps each chosen cell's critical members in a lane of
     # len(members) // 8 + 1 bytes: these counts put the lane's spare top bit
@@ -206,9 +204,7 @@ class TestMmcsAgainstBerge:
                 masks.add(sum(1 << i for i in boxes))
             family = SetFamily(n, masks)
             assert len(family) == count
-            assert transversal_dual(family) == berge_dual(family)
-            assert_same_duals(family)
-            tabulated = dual_with_nonminimal(family)
+            tabulated = assert_same_duals(family)
             for lanes in (0, 2):
                 with monkeypatch.context() as patch:
                     tabulate_lanes(patch, family, lanes)
@@ -231,10 +227,8 @@ class TestMmcsAgainstBerge:
         family = SetFamily(9, masks)
         if lanes is not None:
             tabulate_lanes(monkeypatch, family, lanes)
-        dual = transversal_dual(family)
-        assert dual == berge_dual(family)
+        dual, _ = assert_same_duals(family)
         assert {m.bit_count() for m in dual.masks} == {count}
-        assert_same_duals(family)
 
     def test_rejects_match_the_last_round(self):
         rng = random.Random(2014)

@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from bit_oracle import canonical_members, member_text
 from draws import sampled
 from hypothesis import example, given, strategies as st
 from peaks import fresh, traced
@@ -49,10 +50,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def _format_member(member) -> str:
-    return "{" + ", ".join(f"({r},{c})" for (r, c) in member) + "}"
 
 
 class TestRp:
@@ -174,7 +171,7 @@ class TestDual:
         path.write_text(json.dumps({"n": 40, "members": [[[r, c]] for r, c in cells]}))
         (code, out, err), peak = traced(run_cli, capsys, "dual", str(path))
         assert code == 0 and err == ""
-        assert out == _format_member(cells) + "\n"
+        assert out == member_text(cells) + "\n"
         assert peak < 32
 
     # one box in the last row of the largest grid makes a mask of about
@@ -194,7 +191,7 @@ class TestDual:
         path.write_text(json.dumps({"n": 4096, "members": [[[1, 1], box] for box in row]}))
         (code, out, err), peak = traced(run_cli, capsys, "dual", str(path))
         assert (code, err) == (0, "")
-        assert out == "{(1,1)}\n" + _format_member(row) + "\n"
+        assert out == "{(1,1)}\n" + member_text(row) + "\n"
         # the 32 masks take 64 MiB; MMCS keys its per-cell tables by bit
         # index, so it adds no 2 MiB one-bit key per cell
         assert peak < 110
@@ -550,29 +547,6 @@ class TestStreamedVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == self.S6_TEXT_SHA256
 
 
-# the writers as they were before they wrote from masks: every box tuple
-# built from a table of all n^2 cells, members sorted as tuples
-def _old_members(family):
-    n = family.n
-    cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
-    members = []
-    for mask in family.masks:
-        boxes = []
-        while mask:
-            low = mask & -mask
-            boxes.append(cells[low.bit_length() - 1])
-            mask ^= low
-        members.append(tuple(boxes))
-    return tuple(sorted(members))
-
-
-def _old_json_obj(family):
-    return {
-        "n": family.n,
-        "members": [[[r, c] for (r, c) in m] for m in _old_members(family)],
-    }
-
-
 def family_st():
     def build(n):
         box = st.tuples(st.integers(1, n), st.integers(1, n))
@@ -584,6 +558,7 @@ def family_st():
     return st.sampled_from([1, 2, 3, 5, 9, 17, 300]).flatmap(build)
 
 
+# the writers against bit_oracle's member order and text, read off each mask's numeral
 class TestMaskWriter:
     @given(family_st())
     @example(SetFamily.from_sets(3, [[(1, 1)], [(1, 1), (1, 2)]]))
@@ -605,29 +580,27 @@ class TestMaskWriter:
         )
     )
     def test_matches_old_writers(self, family):
-        members = _old_members(family)
+        members = canonical_members(family)
         assert family.members == members
         assert family_to_json(family) == json.dumps(
-            _old_json_obj(family), separators=(",", ":")
+            {"n": family.n, "members": members}, separators=(",", ":")
         )
-        assert family_to_text(family) == "\n".join(_format_member(m) for m in members)
+        assert family_to_text(family) == "\n".join(map(member_text, members))
 
 
 # the ascii writer as it was before it pictured masks: one set of box
-# tuples per dream, in members order, looked up tile by tile
+# tuples per dream, in bit_oracle's canonical order, looked up tile by tile
 def _old_ascii(family):
     n = family.n
-    pictures = []
-    for member in _old_members(family):
+    for member in canonical_members(family):
         crosses = frozenset(member)
-        pictures.append("\n".join(
+        yield "\n".join(
             "".join(
                 "+" if (i, j) in crosses else "." if i + j <= n + 1 else " "
                 for j in range(1, n + 1)
             )
             for i in range(1, n + 1)
-        ))
-    return "\n\n".join(pictures)
+        )
 
 
 class TestAsciiWriter:
@@ -638,24 +611,24 @@ class TestAsciiWriter:
     def test_every_rp_family_of_sn(self, n):
         for w in all_permutations(n):
             rp = enumerate_rp(w)
-            assert "\n".join(_family_to_ascii(rp)).split("\n\n") == _old_ascii(rp).split("\n\n"), w
+            assert "\n".join(_family_to_ascii(rp)).split("\n\n") == list(_old_ascii(rp)), w
 
     @pytest.mark.parametrize("n", [7, 8, 9])
     def test_seeded_draws(self, n):
         for w in sampled(n, 20):
             rp = enumerate_rp(w)
-            assert "\n".join(_family_to_ascii(rp)).split("\n\n") == _old_ascii(rp).split("\n\n"), w
+            assert "\n".join(_family_to_ascii(rp)).split("\n\n") == list(_old_ascii(rp)), w
 
     def test_large_family(self):
         rp = enumerate_rp(parse_permutation("317529846"))
         assert len(rp) == 11_564
-        assert "\n".join(_family_to_ascii(rp)).split("\n\n") == _old_ascii(rp).split("\n\n")
+        assert "\n".join(_family_to_ascii(rp)).split("\n\n") == list(_old_ascii(rp))
 
     def test_comma_permutation(self):
         # 1, ..., 62, 64, 63: 63 one-box dreams on the 64 x 64 grid
         rp = enumerate_rp(Permutation((*range(1, 63), 64, 63)))
         assert len(rp) == 63
-        assert "\n".join(_family_to_ascii(rp)).split("\n\n") == _old_ascii(rp).split("\n\n")
+        assert "\n".join(_family_to_ascii(rp)).split("\n\n") == list(_old_ascii(rp))
 
     def test_pictures_stream(self):
         # 1, ..., 254, 256, 255: 255 one-box pictures of the 256 x 256 grid,

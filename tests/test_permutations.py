@@ -217,6 +217,12 @@ def test_permutation_validates():
         Permutation((1, 1))
     with pytest.raises(ValueError):
         Permutation(())
+    # True == 1 and 1.0 == 1, so the bijection test alone lets these through
+    for images in [(2, True), (True,), (1.0, 2), (1, 2.0)]:
+        with pytest.raises(ValueError, match="images must be of type int"):
+            Permutation(images)
+    w = Permutation([2, 1])
+    assert w.images == (2, 1) and w == Permutation((2, 1)) and hash(w) == hash(Permutation((2, 1)))
 
 
 def test_call_and_inverse():

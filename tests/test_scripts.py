@@ -154,32 +154,28 @@ def test_out_file_must_hold_an_object(tmp_path, script, argv, content):
 
 
 class TestBenchSweep:
+    # one run: TestWriteRecord checks how a record joins the runs
     def test_small_sweep_record(self, tmp_path):
         out = tmp_path / "bench.json"
         out.write_text(json.dumps({"what": "kept"}))
-        for label in ("first", "second", "first"):
-            proc = run_script(
-                "bench_sweep.py", "--n", "4", "--jobs", "2", "--label", label,
-                "--out", str(out),
-            )
-            assert proc.returncode == 0, proc.stderr
+        argv = ["--n", "4", "--jobs", "2", "--label", "small", "--out", str(out)]
+        proc = run_script("bench_sweep.py", *argv)
+        assert proc.returncode == 0, proc.stderr
         data = json.loads(out.read_text())
         assert data["what"] == "kept"
-        runs = data["runs"]
-        assert [run["label"] for run in runs] == ["second", "first"]
+        (run,) = data["runs"]
         payload = (reports_to_json(verify_range(4).reports) + "\n").encode()
-        for run in runs:
-            assert list(run) == HEADER + [
-                "command", "exit_status", "wall_s", "cpu_s", "peak_rss_mb",
-                "stdout_bytes", "stdout_sha256", "stderr_tail",
-            ]
-            assert run["command"] == "pipedual verify --n 4 --jobs 2 --format json"
-            assert run["exit_status"] == 0
-            assert run["stdout_bytes"] == len(payload)
-            assert run["stdout_sha256"] == hashlib.sha256(payload).hexdigest()
-            assert run["stderr_tail"] == ""
-            assert run["wall_s"] > 0 and run["cpu_s"] > 0 and run["peak_rss_mb"] > 1
-            assert run["commit"]
+        assert list(run) == HEADER + [
+            "command", "exit_status", "wall_s", "cpu_s", "peak_rss_mb",
+            "stdout_bytes", "stdout_sha256", "stderr_tail",
+        ]
+        assert run["label"] == "small" and run["commit"]
+        assert run["command"] == "pipedual verify --n 4 --jobs 2 --format json"
+        assert run["exit_status"] == 0
+        assert run["stdout_bytes"] == len(payload)
+        assert run["stdout_sha256"] == hashlib.sha256(payload).hexdigest()
+        assert run["stderr_tail"] == ""
+        assert run["wall_s"] > 0 and run["cpu_s"] > 0 and run["peak_rss_mb"] > 1
 
     def test_budgeted_sweep_passes_stderr_on(self, tmp_path):
         out = tmp_path / "bench.json"
@@ -209,25 +205,23 @@ class TestBenchSweep:
 
 
 class TestBenchColdStart:
+    # one run: TestWriteRecord checks how a record joins the runs
     def test_record(self, tmp_path):
         out = tmp_path / "bench.json"
         out.write_text(json.dumps({"note": "kept"}))
-        for label in ("first", "second", "first"):
-            proc = run_script(
-                "bench_cold_start.py", "--repeat", "1", "--label", label, "--out", str(out)
-            )
-            assert proc.returncode == 0, proc.stderr
+        argv = ["--repeat", "1", "--label", "cold", "--out", str(out)]
+        proc = run_script("bench_cold_start.py", *argv)
+        assert proc.returncode == 0, proc.stderr
         data = json.loads(out.read_text())
         assert data["note"] == "kept"
-        assert [run["label"] for run in data["runs"]] == ["second", "first"]
-        for run in data["runs"]:
-            assert list(run) == HEADER + ["repeat", "commands"]
-            assert list(run["commands"]) == [
-                "rp 2143", "ad 2143", "dual 2143", "schubert 2143", "verify --n 3 --jobs 1"
-            ]
-            for times in run["commands"].values():
-                assert times["cold_ms"] > 0 and times["cached_ms"] > 0
-            assert run["repeat"] == 1 and run["commit"]
+        (run,) = data["runs"]
+        assert list(run) == HEADER + ["repeat", "commands"]
+        assert list(run["commands"]) == [
+            "rp 2143", "ad 2143", "dual 2143", "schubert 2143", "verify --n 3 --jobs 1"
+        ]
+        for times in run["commands"].values():
+            assert times["cold_ms"] > 0 and times["cached_ms"] > 0
+        assert run["label"] == "cold" and run["repeat"] == 1 and run["commit"]
 
     def test_rejects_bad_repeat(self, tmp_path):
         out = tmp_path / "bench.json"

@@ -4,7 +4,7 @@ import time
 from contextlib import contextmanager
 
 import pytest
-from bit_oracle import bit_indices
+from bit_oracle import bit_indices, canonical_members, member_text
 from draws import sampled
 from hypothesis import example, given, strategies as st
 from peaks import traced
@@ -160,9 +160,7 @@ class TestWideMasks:
         # every writer lists the members in ``members`` order
         boxes = [[[r, c] for (r, c) in m] for m in family.members]
         assert json.loads(family_to_json(family)) == {"n": n, "members": boxes}
-        assert family_to_text(family) == "\n".join(
-            "{" + ", ".join(f"({r},{c})" for (r, c) in m) + "}" for m in family.members
-        )
+        assert family_to_text(family) == "\n".join(map(member_text, family.members))
 
 
 def order_case_st():
@@ -194,7 +192,7 @@ class TestMemberOrder:
         # order that shares no code with it
         for w in perms:
             for family in (enumerate_rp(w), antidiagonal_family(w)):
-                lines = ["{" + ", ".join(f"({r},{c})" for r, c in m) + "}" for m in family.members]
+                lines = list(map(member_text, family.members))
                 assert family_to_text(family).splitlines() == lines, w
 
     @given(order_case_st())
@@ -208,18 +206,13 @@ class TestMemberOrder:
             masks += [sum(1 << i for i in ordered[:k]) for k in range(1, len(ordered) + 1)]
         family = SetFamily(n, masks)
         # the order as it was first defined: members sorted by cell lists
-        order = [
-            tuple((i // n + 1, i % n + 1) for i in m)
-            for m in sorted(map(bit_indices, family.masks))
-        ]
-        assert family.members == tuple(order)
+        order = canonical_members(family)
+        assert family.members == order
         assert _ordered(tuple(family.masks)) == sorted(family.masks, key=bit_indices)
-        assert json.loads(family_to_json(family))["members"] == [
-            [[r, c] for (r, c) in m] for m in order
-        ]
-        assert family_to_text(family) == "\n".join(
-            "{" + ", ".join(f"({r},{c})" for (r, c) in m) + "}" for m in order
+        assert family_to_json(family) == json.dumps(
+            {"n": n, "members": order}, separators=(",", ":")
         )
+        assert family_to_text(family) == "\n".join(map(member_text, order))
         # the ascii writer draws the whole grid, so it gets a few staircase
         # members only
         stair = [m for m in order if all(r + c <= n for (r, c) in m)][-4:]
@@ -234,10 +227,7 @@ class TestMemberOrder:
         rng = random.Random(2000)
         family = SetFamily.from_sets(n, [rng.sample(near, 3) for _ in range(40)])
         text, peak = traced(family_to_text, family)
-        order = [
-            [(i // n + 1, i % n + 1) for i in m] for m in sorted(map(bit_indices, family.masks))
-        ]
-        assert text == "\n".join("{" + ", ".join(f"({r},{c})" for r, c in m) + "}" for m in order)
+        assert text == "\n".join(map(member_text, canonical_members(family)))
         assert peak < 16
         assert _ordered(tuple(family.masks)) == sorted(family.masks, key=bit_indices)
 
@@ -248,10 +238,9 @@ class TestMemberOrder:
         n = 1000
         family = SetFamily.from_sets(n, [[(1, c)] for c in range(1, 501)] + [[(n, n)]])
         text, peak = traced(family_to_json, family)
-        order = [
-            [[i // n + 1, i % n + 1] for i in m] for m in sorted(map(bit_indices, family.masks))
-        ]
-        assert json.loads(text)["members"] == order
+        assert text == json.dumps(
+            {"n": n, "members": canonical_members(family)}, separators=(",", ":")
+        )
         assert peak < 8
 
     @pytest.mark.parametrize(
@@ -271,15 +260,12 @@ class TestMemberOrder:
         first, second = 1 << run[0], 1 << run[1]
         neighbours = [first, second, first | second << 2, chain[-1] << 1 | first]
         family = SetFamily(n, chain + neighbours)
-        order = [
-            tuple((i // n + 1, i % n + 1) for i in m)
-            for m in sorted(map(bit_indices, family.masks))
-        ]
-        assert family.members == tuple(order)
-        assert json.loads(family_to_json(family))["members"] == [list(map(list, m)) for m in order]
-        assert family_to_text(family) == "\n".join(
-            "{" + ", ".join(f"({r},{c})" for (r, c) in m) + "}" for m in order
+        order = canonical_members(family)
+        assert family.members == order
+        assert family_to_json(family) == json.dumps(
+            {"n": n, "members": order}, separators=(",", ":")
         )
+        assert family_to_text(family) == "\n".join(map(member_text, order))
 
 
 class TestIsTransversal:
